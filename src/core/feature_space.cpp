@@ -1,6 +1,7 @@
 #include "core/feature_space.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace dfp {
 
@@ -39,7 +40,23 @@ void FeatureSpace::Encode(const std::vector<ItemId>& transaction,
 FeatureMatrix FeatureSpace::Transform(const TransactionDatabase& db) const {
     FeatureMatrix x(db.num_transactions(), dim());
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        Encode(db.transaction(t), x.MutableRow(t));
+        for (ItemId i : db.transaction(t)) {
+            if (i < num_items_) x.At(t, i) = 1.0;
+        }
+    }
+    // Pattern columns, one at a time from the database's vertical index: the
+    // cover of a pattern is the AND of its item covers, so a column costs
+    // |items| bitset ANDs instead of a std::includes per row. No row holds
+    // an item id the database has never seen, so a pattern carrying one gets
+    // an all-zero column — what Encode gives every row.
+    for (std::size_t p = 0; p < patterns_.size(); ++p) {
+        const Itemset& items = patterns_[p].items;
+        if (std::any_of(items.begin(), items.end(),
+                        [&](ItemId i) { return i >= db.num_items(); })) {
+            continue;
+        }
+        const std::size_t col = num_items_ + p;
+        db.CoverOf(items).ForEach([&](std::uint32_t t) { x.At(t, col) = 1.0; });
     }
     return x;
 }

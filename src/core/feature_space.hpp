@@ -36,7 +36,8 @@ class FeatureSpace {
     /// Encodes one transaction (sorted item list) into `out` (size dim()).
     void Encode(const std::vector<ItemId>& transaction, std::span<double> out) const;
 
-    /// Encodes a whole database into a dense matrix.
+    /// Encodes a whole database into a dense matrix, column by column from
+    /// the database's item covers; bitwise equal to Encode on every row.
     FeatureMatrix Transform(const TransactionDatabase& db) const;
 
   private:

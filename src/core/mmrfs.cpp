@@ -1,11 +1,11 @@
 #include "core/mmrfs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <memory>
+#include <cmath>
+#include <cstdint>
+#include <queue>
 
-#include "common/parallel.hpp"
 #include "core/redundancy.hpp"
 #include "obs/metrics.hpp"
 
@@ -13,26 +13,41 @@ namespace dfp {
 
 namespace {
 
-// Flushes one selection run's tallies to the registry: how many greedy rounds
-// ran, the accept/discard split, the gain distribution of accepted features
-// and how many instances were still under δ coverage at the stop.
-void FlushMmrfsMetrics(std::size_t iterations, std::size_t accepted,
-                       std::size_t discarded, const std::vector<double>& gains,
-                       std::size_t under_covered, std::size_t pool_size,
-                       std::size_t redundancy_evals) {
+// One selection run's work tallies, flushed to the registry at the end.
+struct MmrfsTally {
+    std::size_t heap_pops = 0;
+    std::size_t stale_refreshes = 0;  // pops that re-folded newer β's
+    std::size_t pruned = 0;           // pops that could no longer be selected
+    std::size_t redundancy_evals = 0;
+};
+
+// Flushes one selection run's tallies to the registry: the accept/discard
+// split (a discard is a candidate pruned because it covers no instance still
+// under δ coverage; iterations = accepted + discarded), the heap work, the
+// gain distribution of accepted features and how many instances were still
+// under δ coverage at the stop.
+void FlushMmrfsMetrics(const MmrfsTally& tally, const std::vector<double>& gains,
+                       std::size_t under_covered, std::size_t pool_size) {
     auto& registry = obs::Registry::Get();
     static auto& iter_c = registry.GetCounter("dfp.core.mmrfs.iterations");
     static auto& accept_c = registry.GetCounter("dfp.core.mmrfs.accepted");
     static auto& discard_c = registry.GetCounter("dfp.core.mmrfs.discarded");
     static auto& red_c =
         registry.GetCounter("dfp.core.mmrfs.redundancy_evals");
+    static auto& pops_c = registry.GetCounter("dfp.core.mmrfs.heap_pops");
+    static auto& stale_c =
+        registry.GetCounter("dfp.core.mmrfs.stale_refreshes");
+    static auto& pruned_c = registry.GetCounter("dfp.core.mmrfs.pruned");
     static auto& gain_h = registry.GetHistogram(
         "dfp.core.mmrfs.gain",
         {0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0});
-    iter_c.Inc(iterations);
-    accept_c.Inc(accepted);
-    discard_c.Inc(discarded);
-    red_c.Inc(redundancy_evals);
+    iter_c.Inc(gains.size() + tally.pruned);
+    accept_c.Inc(gains.size());
+    discard_c.Inc(tally.pruned);
+    red_c.Inc(tally.redundancy_evals);
+    pops_c.Inc(tally.heap_pops);
+    stale_c.Inc(tally.stale_refreshes);
+    pruned_c.Inc(tally.pruned);
     for (double g : gains) gain_h.Observe(g);
     registry.GetGauge("dfp.core.mmrfs.under_covered_final")
         .Set(static_cast<double>(under_covered));
@@ -40,12 +55,26 @@ void FlushMmrfsMetrics(std::size_t iterations, std::size_t accepted,
         .Set(static_cast<double>(pool_size));
 }
 
+// Max-heap entry: a candidate keyed by its gain as of its last refresh.
+// Ties pop the lowest index first — the eager scan's tie-break.
+struct HeapEntry {
+    double gain;
+    std::size_t index;
+};
+struct PopsLater {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+        if (a.gain != b.gain) return a.gain < b.gain;
+        return a.index > b.index;
+    }
+};
+
 }  // namespace
 
 MmrfsResult RunMmrfs(const TransactionDatabase& db,
                      const std::vector<Pattern>& candidates,
                      const MmrfsConfig& config) {
     const std::size_t n = db.num_transactions();
+    const std::size_t delta = config.coverage_delta;
     MmrfsResult result;
     result.coverage.assign(n, 0);
     result.relevance.resize(candidates.size());
@@ -54,212 +83,122 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
             config.candidate_mask->size() == candidates.size()) &&
            "candidate_mask must match the candidate count");
     const std::vector<char>* mask = config.candidate_mask;
-    auto masked_out = [mask](std::size_t i) {
-        return mask != nullptr && (*mask)[i] == 0;
-    };
 
     // The effective feature cap folds budget.max_patterns into max_features;
     // selections emitted so far play the "pattern count" role for the guard.
-    // Every check covers an O(|F|) scan, so read the clock on each one.
+    // A heap pop can refresh against many β's, so read the clock on each check.
     BudgetGuard guard(config.budget, config.max_features, /*clock_stride=*/1);
 
-    // Candidate-scan parallelism: relevance scoring and the per-round
-    // redundancy refresh write disjoint per-candidate slots, so the fan-out
-    // is deterministic regardless of thread count. The pool lives for the
-    // whole selection run (one greedy round per ParallelFor).
-    const std::size_t threads =
-        std::min(ResolveNumThreads(config.num_threads), candidates.size());
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-    if (pool == nullptr) {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (masked_out(i)) continue;  // filtered: stays at relevance 0
-            assert(candidates[i].cover.size() == n && "metadata not attached");
-            result.relevance[i] =
-                PatternRelevance(config.relevance, db, candidates[i]);
-            if (guard.Check(0) != BudgetBreach::kNone &&
-                guard.breach() != BudgetBreach::kPatternCap) {
-                // Deadline/cancel during scoring: nothing selected yet, bail.
-                result.breach = guard.breach();
-                RecordBreach("core.mmrfs", result.breach, 0.0);
-                return result;
-            }
-        }
-    } else {
-        // Parallel scoring: each chunk polls its own guard on the shared
-        // budget so deadline/cancel still interrupts the scan; scores are
-        // identical to the serial path (PatternRelevance is pure).
-        std::atomic<int> scoring_breach{static_cast<int>(BudgetBreach::kNone)};
-        DeadlineTimer timer(config.budget.time_budget_ms);
-        ParallelFor(pool.get(), candidates.size(),
-                    [&](std::size_t begin, std::size_t end) {
-                        BudgetGuard chunk_guard(TaskBudget(config.budget, timer),
-                                                std::numeric_limits<
-                                                    std::size_t>::max(),
-                                                /*clock_stride=*/1);
-                        for (std::size_t i = begin; i < end; ++i) {
-                            if (masked_out(i)) continue;
-                            assert(candidates[i].cover.size() == n &&
-                                   "metadata not attached");
-                            result.relevance[i] = PatternRelevance(
-                                config.relevance, db, candidates[i]);
-                            if (chunk_guard.Check(0) != BudgetBreach::kNone) {
-                                scoring_breach.store(
-                                    static_cast<int>(chunk_guard.breach()),
-                                    std::memory_order_relaxed);
-                                return;
-                            }
-                        }
-                    });
-        const auto breach =
-            static_cast<BudgetBreach>(scoring_breach.load(std::memory_order_relaxed));
-        if (breach != BudgetBreach::kNone) {
-            result.breach = breach;
+    // Relevance S(α) of every unmasked candidate; each enters the heap keyed
+    // by its gain against the empty Fs. Masked-out candidates stay at
+    // relevance 0 and never enter the heap.
+    std::vector<HeapEntry> entries;
+    entries.reserve(candidates.size());
+    std::vector<double> max_red(candidates.size(), 0.0);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (mask != nullptr && (*mask)[i] == 0) continue;
+        assert(candidates[i].cover.size() == n && "metadata not attached");
+        result.relevance[i] =
+            PatternRelevance(config.relevance, db, candidates[i]);
+        entries.push_back({result.relevance[i] - max_red[i], i});
+        if (guard.Check(0) != BudgetBreach::kNone &&
+            guard.breach() != BudgetBreach::kPatternCap) {
+            // Deadline/cancel during scoring: nothing selected yet, bail.
+            result.breach = guard.breach();
             RecordBreach("core.mmrfs", result.breach, 0.0);
             return result;
         }
     }
-
-    // Per-candidate running state: selected/discarded flag and the current
-    // max_{β ∈ Fs} R(α, β), updated incrementally as Fs grows so each
-    // selection round is a single O(|F|) scan.
-    std::vector<char> done(candidates.size(), 0);
-    std::vector<double> max_red(candidates.size(), 0.0);
-    if (mask != nullptr) {
-        // Masked-out candidates enter the greedy loop pre-discarded.
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if ((*mask)[i] == 0) done[i] = 1;
-        }
-    }
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, PopsLater> heap(
+        PopsLater{}, std::move(entries));
 
     // An instance is "correctly covered" by α when α is present in it and α's
-    // majority class matches its label. Precompute per-candidate majority.
+    // majority class matches its label. needy[c] holds the class-c rows still
+    // covered fewer than δ times, so α can still be selected iff its cover
+    // meets needy[majority(α)]. Needy sets only shrink: a candidate that
+    // fails the test once can never be selected, and is dropped for good.
+    std::vector<BitVector> needy(db.num_classes(), BitVector(n));
+    std::size_t under_covered = 0;
+    if (delta > 0) {
+        for (std::size_t c = 0; c < needy.size(); ++c) {
+            needy[c] = db.ClassCover(static_cast<ClassLabel>(c));
+        }
+        under_covered = n;
+    }
     std::vector<ClassLabel> majority(candidates.size());
+    std::vector<std::size_t> cover_size(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         majority[i] = candidates[i].MajorityClass();
+        assert(majority[i] < needy.size());
+        cover_size[i] = candidates[i].cover.Count();
     }
 
-    std::size_t under_covered = 0;  // instances with coverage < δ
-    for (std::size_t t = 0; t < n; ++t) under_covered += (config.coverage_delta > 0);
-
-    auto correctly_covers_needy = [&](std::size_t i) {
-        bool hit = false;
-        candidates[i].cover.ForEach([&](std::uint32_t t) {
-            if (!hit && db.label(t) == majority[i] &&
-                result.coverage[t] < config.coverage_delta) {
-                hit = true;
-            }
-        });
-        return hit;
-    };
-
-    // Greedy loop, one fused parallel pass per round: refresh each remaining
-    // candidate's cached max_{β ∈ Fs} R(α, β) against the β selected *last*
-    // round (nothing else changed — the incremental-cache invariant), compute
-    // its marginal gain, and take a chunk-local argmax. Chunk argmaxes merge
-    // in chunk-index order with a strict `>`, which keeps the lowest-index
-    // candidate among equal gains — exactly the serial left-to-right scan's
-    // tie-break, for any chunking. With incremental_cache off the max is
-    // recomputed over all of Fs in selection order instead: the same max()
-    // over the same doubles, so the certificate path is bitwise identical.
-    std::size_t iterations = 0;
-    std::size_t redundancy_evals = 0;
-    std::size_t last_selected = candidates.size();  // none yet
-    const std::size_t chunk_size = std::max<std::size_t>(
-        64, (candidates.size() + threads * 4 - 1) / (threads * 4));
-    const std::size_t num_chunks =
-        (candidates.size() + chunk_size - 1) / chunk_size;
-    struct ChunkBest {
-        double gain = -std::numeric_limits<double>::infinity();
-        std::size_t idx = 0;
-        std::size_t evals = 0;
-    };
-    std::vector<ChunkBest> chunk_best(num_chunks);
-    while (under_covered > 0 && result.selected.size() < config.max_features) {
+    // Lazy greedy (Minoux's accelerated greedy / CELF): g(α) = S(α) −
+    // max_{β ∈ Fs} R(α, β) can only fall as Fs grows, so a heap key computed
+    // against a prefix of Fs is an upper bound on the current gain. Pop the
+    // top; prune it if it can no longer be selected; if Fs grew since its key
+    // was computed, fold the new β's — selected[checked[i]..] — into its
+    // running max (the same max over the same doubles in the same order as a
+    // from-scratch recompute) and push it back; otherwise its key is exact
+    // and at least every other candidate's bound, so it is the eager argmax,
+    // lowest index among equal gains. Selecting it only shrinks the needy
+    // sets, so the selected sequence is "argmax among still-selectable
+    // candidates" — exactly what the eager select-or-discard loop produces.
+    MmrfsTally tally;
+    std::vector<std::size_t> checked(candidates.size(), 0);
+    while (under_covered > 0 && result.selected.size() < config.max_features &&
+           !heap.empty()) {
         if (guard.Check(result.selected.size()) != BudgetBreach::kNone) {
             result.breach = guard.breach();
             break;
         }
-        ++iterations;
-        chunk_best.assign(num_chunks, ChunkBest{});
-        ParallelFor(
-            pool.get(), num_chunks,
-            [&](std::size_t cb, std::size_t ce) {
-                for (std::size_t c = cb; c < ce; ++c) {
-                    const std::size_t begin = c * chunk_size;
-                    const std::size_t end =
-                        std::min(candidates.size(), begin + chunk_size);
-                    ChunkBest local;
-                    local.idx = candidates.size();
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if (done[i]) continue;
-                        if (config.incremental_cache) {
-                            if (last_selected < candidates.size()) {
-                                const double r = Redundancy(
-                                    candidates[i], candidates[last_selected],
-                                    result.relevance[i],
-                                    result.relevance[last_selected]);
-                                ++local.evals;
-                                max_red[i] = std::max(max_red[i], r);
-                            }
-                        } else if (!result.selected.empty()) {
-                            double m = 0.0;
-                            for (std::size_t s : result.selected) {
-                                const double r = Redundancy(
-                                    candidates[i], candidates[s],
-                                    result.relevance[i], result.relevance[s]);
-                                ++local.evals;
-                                m = std::max(m, r);
-                            }
-                            max_red[i] = m;
-                        }
-                        const double gain = result.relevance[i] - max_red[i];
-                        if (gain > local.gain) {
-                            local.gain = gain;
-                            local.idx = i;
-                        }
-                    }
-                    chunk_best[c] = local;
-                }
-            },
-            /*min_grain=*/1);
-        std::size_t best = candidates.size();
-        double best_gain = -std::numeric_limits<double>::infinity();
-        for (const ChunkBest& cb : chunk_best) {
-            redundancy_evals += cb.evals;
-            if (cb.idx < candidates.size() && cb.gain > best_gain) {
-                best_gain = cb.gain;
-                best = cb.idx;
-            }
+        const HeapEntry top = heap.top();
+        heap.pop();
+        ++tally.heap_pops;
+        const std::size_t i = top.index;
+        const Pattern& alpha = candidates[i];
+        BitVector& needy_rows = needy[majority[i]];
+        if (alpha.cover.IsDisjointWith(needy_rows)) {
+            ++tally.pruned;
+            continue;
         }
-        if (best == candidates.size()) break;  // pool exhausted
-        done[best] = 1;
-
-        if (!correctly_covers_needy(best)) {
-            // Discard, don't select: Fs is unchanged, so the next round has
-            // no new β to fold into the cache.
-            last_selected = candidates.size();
+        if (checked[i] < result.selected.size()) {
+            tally.redundancy_evals += result.selected.size() - checked[i];
+            for (; checked[i] < result.selected.size(); ++checked[i]) {
+                const std::size_t s = result.selected[checked[i]];
+                const double r =
+                    JaccardFromCounts(alpha.cover.AndCount(candidates[s].cover),
+                                      cover_size[i], cover_size[s]) *
+                    std::min(result.relevance[i], result.relevance[s]);
+                max_red[i] = std::max(max_red[i], r);
+            }
+            const double gain = result.relevance[i] - max_red[i];
+            if (std::isnan(gain)) {
+                // ∞ − ∞ (two Fisher-infinite patterns that overlap): NaN
+                // never wins the eager argmax's `>`, and the max cannot fall
+                // back, so the candidate can never be selected.
+                ++tally.pruned;
+                continue;
+            }
+            ++tally.stale_refreshes;
+            heap.push({gain, i});
             continue;
         }
 
-        result.selected.push_back(best);
-        result.gains.push_back(best_gain);
-        last_selected = best;
-        // Update coverage over correctly covered instances.
-        candidates[best].cover.ForEach([&](std::uint32_t t) {
-            if (db.label(t) != majority[best]) return;
-            if (result.coverage[t] == config.coverage_delta - 1) --under_covered;
-            if (result.coverage[t] < config.coverage_delta) ++result.coverage[t];
+        result.selected.push_back(i);
+        result.gains.push_back(top.gain);
+        (alpha.cover & needy_rows).ForEach([&](std::uint32_t t) {
+            if (++result.coverage[t] == delta) {
+                needy_rows.Clear(t);
+                --under_covered;
+            }
         });
     }
     if (result.breach != BudgetBreach::kNone) {
         RecordBreach("core.mmrfs", result.breach,
                      static_cast<double>(result.selected.size()));
     }
-    FlushMmrfsMetrics(iterations, result.selected.size(),
-                      iterations - result.selected.size(), result.gains,
-                      under_covered, candidates.size(), redundancy_evals);
+    FlushMmrfsMetrics(tally, result.gains, under_covered, candidates.size());
     return result;
 }
 

@@ -29,20 +29,11 @@ struct MmrfsConfig {
     std::size_t coverage_delta = 3;
     /// Hard cap on |Fs| (the paper's algorithm has none; useful in sweeps).
     std::size_t max_features = std::numeric_limits<std::size_t>::max();
-    /// Worker threads for the per-candidate work inside each greedy round:
-    /// the relevance scan and the fused redundancy-refresh + marginal-gain
-    /// argmax run over sharded candidate ranges (chunk-local argmaxes merged
-    /// in chunk order reproduce the serial lowest-index tie-break exactly;
-    /// only the coverage update stays serial). The selected sequence is
-    /// identical for every thread count. 1 = serial; 0 = hardware_concurrency.
+    /// Has no effect: selection is serial (the lazy greedy makes far less
+    /// work than the per-round fan-out it replaced; DESIGN.md §17). Kept only
+    /// because the benchmark's corpus setup (perfbench/src/corpus.cpp) still
+    /// sets it; remove it together with that line in a benchmark change.
     std::size_t num_threads = 1;
-    /// Incremental-redundancy caching: keep max_{β ∈ Fs} R(α, β) per
-    /// candidate α and update it only against the β *newly added* last round,
-    /// making each round O(|F|) instead of O(|F|·|Fs|). Off recomputes the
-    /// max over all of Fs from scratch every round — same doubles bitwise
-    /// (max over an identical value sequence), kept as the certificate path
-    /// the dfp_parallel suite asserts `==` against (DESIGN.md §17).
-    bool incremental_cache = true;
     /// Optional per-candidate keep-mask from the significance filter
     /// (stats/significance.hpp). Masked-out candidates (mask value 0) are
     /// never relevance-scored, never scanned in greedy rounds and never
@@ -72,7 +63,14 @@ struct MmrfsResult {
 };
 
 /// Runs Algorithm 1. Candidates must have metadata attached against `db`
-/// (cover + class_counts). Runs in O(|F| · |Fs|) redundancy evaluations.
+/// (cover + class_counts). Exact lazy greedy: a max-heap of stale gains,
+/// refreshed only against the β's selected since a candidate's last pop, and
+/// candidates that cover no instance still under δ coverage are dropped when
+/// popped. Worst case O(|F| · |Fs|) redundancy evaluations, each one AND-
+/// popcount over the cover words; in practice a small fraction of that
+/// (dfp.core.mmrfs.{redundancy_evals,heap_pops,stale_refreshes,pruned}).
+/// The selected sequence, gains, relevance and coverage are bitwise those of
+/// the eager per-round argmax (certified against the eager oracle in tests).
 MmrfsResult RunMmrfs(const TransactionDatabase& db,
                      const std::vector<Pattern>& candidates,
                      const MmrfsConfig& config);

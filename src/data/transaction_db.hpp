@@ -71,8 +71,8 @@ class TransactionDatabase {
     /// Per-class counts of a cover set.
     std::vector<std::size_t> ClassCountsOf(const BitVector& cover) const;
 
-    /// Per-class transaction counts.
-    std::vector<std::size_t> ClassCounts() const;
+    /// Per-class transaction counts (computed once at build).
+    const std::vector<std::size_t>& ClassCounts() const { return class_totals_; }
     /// Per-class fractions.
     std::vector<double> ClassPriors() const;
 
@@ -97,6 +97,7 @@ class TransactionDatabase {
     std::vector<std::string> item_names_;
     std::vector<BitVector> item_covers_;
     std::vector<BitVector> class_covers_;
+    std::vector<std::size_t> class_totals_;
 };
 
 }  // namespace dfp

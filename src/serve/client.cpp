@@ -65,23 +65,48 @@ Status ServeClient::Reconnect() {
 }
 
 Result<std::string> ServeClient::RoundTrip(const std::string& line) {
+    Transport ignored = Transport::kOk;
+    return Exchange(line, &ignored);
+}
+
+Result<std::string> ServeClient::Exchange(const std::string& line,
+                                          Transport* transport) {
+    *transport = Transport::kOk;
     if (dispatcher_ != nullptr) return dispatcher_->HandleLine(line);
-    DFP_RETURN_NOT_OK(socket_->SendAll(line + "\n"));
+    // A connection dropped by an earlier failure is re-dialed first; a failed
+    // dial is this request's transport failure (nothing was sent).
+    Status st = socket_ == nullptr ? Reconnect() : Status::Ok();
+    if (!st.ok()) {
+        *transport = Transport::kFailed;
+        return st;
+    }
     std::string response;
-    auto got = reader_->ReadLine(&response);
-    if (!got.ok()) return got.status();
-    if (!*got) return Status::Unavailable("server closed the connection");
-    return response;
+    st = socket_->SendAll(line + "\n");
+    if (st.ok()) {
+        auto got = reader_->ReadLine(&response);
+        if (!got.ok()) {
+            st = got.status();
+        } else if (!*got) {
+            st = Status::Unavailable("server closed the connection");
+        }
+    }
+    if (st.ok()) return response;
+    // Poison the connection: after a failed exchange the server may still
+    // deliver this request's reply, and the next request must never read it
+    // as its own. Every transport failure therefore drops the socket, and the
+    // next call dials a fresh one.
+    *transport = reader_->buffered_bytes() > 0 ? Transport::kFailedMidResponse
+                                               : Transport::kFailed;
+    reader_.reset();
+    socket_.reset();
+    return st;
 }
 
 Result<obs::JsonValue> ServeClient::Call(const std::string& line,
-                                         bool* transport_failed) {
-    if (transport_failed != nullptr) *transport_failed = false;
-    auto response = RoundTrip(line);
-    if (!response.ok()) {
-        if (transport_failed != nullptr) *transport_failed = true;
-        return response.status();
-    }
+                                         Transport* transport) {
+    Transport ignored = Transport::kOk;
+    auto response = Exchange(line, transport != nullptr ? transport : &ignored);
+    if (!response.ok()) return response.status();
     auto parsed = obs::ParseJson(*response);
     if (!parsed.ok()) {
         return Status::Internal("unparseable response: " + *response);
@@ -98,27 +123,15 @@ Result<obs::JsonValue> ServeClient::CallIdempotent(const std::string& line) {
     auto& metrics = obs::Registry::Get();
     DeadlineTimer deadline(retry_.deadline_ms);
     double backoff_ms = retry_.initial_backoff_ms;
-    bool need_reconnect = false;
     Result<obs::JsonValue> result = Status::Internal("retry loop never ran");
     for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-        bool transport_failed = false;
-        if (need_reconnect) {
-            const Status st = Reconnect();
-            need_reconnect = !st.ok();
-            if (!st.ok()) {
-                // The dial itself failed — that IS this attempt's failure.
-                transport_failed = true;
-                result = st;
+        Transport transport = Transport::kOk;
+        result = Call(line, &transport);
+        if (result.ok()) {
+            if (attempt > 1) {
+                metrics.GetCounter("dfp.serve.client.retry_success").Inc();
             }
-        }
-        if (!need_reconnect) {
-            result = Call(line, &transport_failed);
-            if (result.ok()) {
-                if (attempt > 1) {
-                    metrics.GetCounter("dfp.serve.client.retry_success").Inc();
-                }
-                return result;
-            }
+            return result;
         }
 
         // Retry policy: a transport failure is retryable only while no byte
@@ -126,15 +139,10 @@ Result<obs::JsonValue> ServeClient::CallIdempotent(const std::string& line) {
         // executed and a resend could double-execute. A well-formed
         // kUnavailable response (shed, draining, connection limit) is a
         // complete exchange and always retryable.
-        bool retryable;
-        if (transport_failed) {
-            const bool partial_response =
-                reader_ != nullptr && reader_->buffered_bytes() > 0;
-            retryable = !partial_response;
-            need_reconnect = dispatcher_ == nullptr;
-        } else {
-            retryable = result.status().code() == StatusCode::kUnavailable;
-        }
+        const bool retryable =
+            transport == Transport::kOk
+                ? result.status().code() == StatusCode::kUnavailable
+                : transport == Transport::kFailed;
         if (!retryable) return result;  // a real error: report, don't mask
         if (attempt >= retry_.max_attempts) break;
 

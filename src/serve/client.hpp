@@ -12,7 +12,10 @@
 // exponential backoff + decorrelated jitter bounded by the policy deadline.
 // A retry is refused the moment any byte of a response has been received
 // (LineReader::buffered_bytes() != 0): resending after a partial response
-// could double-execute. Mutating ops (Reload) never retry.
+// could double-execute. Mutating ops (Reload) never retry. Any transport
+// failure, retried or not, drops the connection and the next call dials a
+// fresh one, so a late reply to a failed request is never read as the answer
+// to the next.
 //
 // Not thread-safe; use one client per thread (connections are cheap).
 #pragma once
@@ -91,17 +94,27 @@ class ServeClient {
           retry_(retry),
           jitter_(retry.jitter_seed) {}
 
-    /// RoundTrip + parse + "ok" check; protocol errors come back as the
+    /// How a request fared at the socket layer.
+    enum class Transport {
+        kOk,                ///< a full response line arrived (or in-process)
+        kFailed,            ///< failed before any byte of the response
+        kFailedMidResponse  ///< failed after part of the response arrived
+    };
+
+    /// One send + read of a line. Re-dials first if an earlier failure
+    /// dropped the connection; drops it again on any transport failure.
+    Result<std::string> Exchange(const std::string& line, Transport* transport);
+
+    /// Exchange + parse + "ok" check; protocol errors come back as the
     /// Status carried in the error response. One attempt, no retries;
-    /// `*transport_failed` (optional) is set when the failure happened at the
-    /// socket layer rather than as a well-formed error response.
+    /// `*transport` (optional) says whether and where the socket layer failed.
     Result<obs::JsonValue> Call(const std::string& line,
-                                bool* transport_failed = nullptr);
+                                Transport* transport = nullptr);
 
     /// Call with the retry loop — idempotent ops only.
     Result<obs::JsonValue> CallIdempotent(const std::string& line);
 
-    /// Tears down and re-establishes the TCP transport (no-op in-process).
+    /// Dials a fresh TCP connection (no-op in-process).
     Status Reconnect();
 
     RequestDispatcher* dispatcher_ = nullptr;

@@ -19,9 +19,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
@@ -501,6 +503,79 @@ TEST_F(ChaosTest, ScoringFaultFailsOneRequestNotTheServer) {
     // Server is intact.
     EXPECT_TRUE(client->Predict(db.transaction(1)).ok());
     std::remove(model_path.c_str());
+}
+
+// Reads one '\n'-terminated line with raw recv(), so the scripted peer below
+// never evaluates the serve.socket.read failpoint armed for the client.
+std::string RawReadLine(int fd) {
+    std::string line;
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
+    return line;
+}
+
+// Regression for a stale-reply desync: a client read that timed out after
+// part of a response line arrived left the connection open, so the late rest
+// of that reply was read as the answer to the next request. A scripted peer
+// sends half of reply 1 (label 3), the client's next recv times out
+// (injected), the peer then completes reply 1, and the next request must get
+// its own reply (label 1) — with and without client retries.
+TEST_F(ChaosTest, ReadTimeoutAfterPartialLineNeverDesyncsNextRequest) {
+    for (const int max_attempts : {1, 3}) {
+        auto listener = TcpListen(0);
+        ASSERT_TRUE(listener.ok()) << listener.status();
+        const auto port = LocalPort(*listener);
+        ASSERT_TRUE(port.ok());
+        std::promise<void> first_call_done;
+        std::thread peer([&listener, done = first_call_done.get_future()] {
+            auto first = TcpAccept(*listener);
+            if (!first.ok()) return;
+            RawReadLine(first->fd());
+            (void)first->SendAll("{\"ok\":true,\"label\":");
+            done.wait();
+            // Late rest of reply 1; fails harmlessly if the client hung up.
+            (void)first->SendAll("3,\"version\":1}\n");
+            auto second = TcpAccept(*listener);  // the client's re-dial
+            if (!second.ok()) return;
+            RawReadLine(second->fd());
+            (void)second->SendAll("{\"ok\":true,\"label\":1,\"version\":1}\n");
+        });
+        // Declared before the client, so it runs after the client has hung
+        // up: releases the peer whatever the test got to, and joins it.
+        struct PeerGuard {
+            Socket& listener;
+            std::promise<void>& released;
+            std::thread& peer;
+            ~PeerGuard() {
+                try {
+                    released.set_value();
+                } catch (const std::future_error&) {
+                }
+                listener.ShutdownBoth();
+                peer.join();
+            }
+        } guard{*listener, first_call_done, peer};
+
+        RetryPolicy retry;
+        retry.max_attempts = max_attempts;
+        retry.initial_backoff_ms = 0.0;
+        auto client = ServeClient::Connect("127.0.0.1", *port, retry);
+        ASSERT_TRUE(client.ok()) << client.status();
+        // Recv 1 returns the partial line; recv 2 times out.
+        ASSERT_TRUE(FailpointRegistry::Get()
+                        .Configure("serve.socket.read=nth(2):timeout", 1)
+                        .ok());
+        const auto lost = client->Predict({0, 1});
+        FailpointRegistry::Get().DisableAll();
+        EXPECT_FALSE(lost.ok()) << "max_attempts " << max_attempts;
+        first_call_done.set_value();
+
+        const auto next = client->Predict({0, 2});
+        ASSERT_TRUE(next.ok()) << next.status() << " max_attempts " << max_attempts;
+        EXPECT_EQ(next->label, 1u)
+            << "the next request read the late reply to the failed one"
+            << " (max_attempts " << max_attempts << ")";
+    }
 }
 
 }  // namespace

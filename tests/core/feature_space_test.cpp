@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "fpm/closed_miner.hpp"
+
 namespace dfp {
 namespace {
 
@@ -79,6 +82,55 @@ TEST(FeatureSpaceTest, UnseenItemsIgnored) {
     std::vector<double> out(3);
     fs.Encode({1, 7}, out);
     EXPECT_EQ(out, (std::vector<double>{0, 1, 0}));
+}
+
+TransactionDatabase RandomDb(Rng& rng, std::size_t rows, std::size_t items) {
+    std::vector<std::vector<ItemId>> txns(rows);
+    std::vector<ClassLabel> labels(rows);
+    for (std::size_t t = 0; t < rows; ++t) {
+        for (ItemId i = 0; i < items; ++i) {
+            if (rng.Bernoulli(0.4)) txns[t].push_back(i);
+        }
+        labels[t] = static_cast<ClassLabel>(rng.UniformInt(std::uint64_t{2}));
+    }
+    return TransactionDatabase::FromTransactions(std::move(txns),
+                                                 std::move(labels), items, 2);
+}
+
+// The column-wise Transform must equal row-wise Encode bit for bit, on the
+// training database and on a held-out one whose universe has item ids the
+// training data never saw — both in rows and in patterns. Pattern {2, 13}
+// only exists in the held-out universe; {2, 20} in neither.
+TEST(FeatureSpaceTest, TransformEqualsRowWiseEncodeBitwise) {
+    constexpr std::size_t kTrainItems = 12;
+    constexpr std::size_t kHeldOutItems = 15;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        const auto train = RandomDb(rng, 80, kTrainItems);
+        const auto held_out = RandomDb(rng, 40, kHeldOutItems);
+        MinerConfig mine_config;
+        mine_config.min_sup_rel = 0.08;
+        auto mined = ClosedMiner().Mine(train, mine_config);
+        ASSERT_TRUE(mined.ok());
+        std::vector<Pattern> patterns = std::move(*mined);
+        patterns.emplace_back().items = {2, 13};
+        patterns.emplace_back().items = {2, 20};
+        const auto fs = FeatureSpace::Build(kTrainItems, std::move(patterns));
+        ASSERT_GT(fs.num_patterns(), 2u);
+        for (const TransactionDatabase* db : {&train, &held_out}) {
+            const FeatureMatrix x = fs.Transform(*db);
+            ASSERT_EQ(x.rows(), db->num_transactions());
+            ASSERT_EQ(x.cols(), fs.dim());
+            std::vector<double> row(fs.dim());
+            for (std::size_t t = 0; t < db->num_transactions(); ++t) {
+                fs.Encode(db->transaction(t), row);
+                const auto got = x.Row(t);
+                ASSERT_TRUE(std::equal(got.begin(), got.end(), row.begin()))
+                    << "seed " << seed << " row " << t
+                    << (db == &train ? " (train)" : " (held-out)");
+            }
+        }
+    }
 }
 
 TEST(FeatureMatrixTest, SelectRowsAndCols) {

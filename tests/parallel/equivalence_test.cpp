@@ -1,8 +1,8 @@
 // Determinism certificates for the parallel layer: every parallel call site
 // must produce results identical to the serial path (num_threads == 1) for
 // every thread count — miners' pattern sets (sorted, with supports), MMRFS's
-// selected sequence, OvO SVM predictions, CV fold accuracies and the grid
-// search winner. 20 random databases × threads ∈ {1, 2, 3, 5, 8, 16}
+// selected sequence (serial; MmrfsConfig::num_threads must have no effect),
+// OvO SVM predictions, CV fold accuracies and the grid search winner. 20 random databases × threads ∈ {1, 2, 3, 5, 8, 16}
 // (non-power-of-two and oversubscribed counts included).
 #include <gtest/gtest.h>
 
