@@ -1,16 +1,13 @@
 // Streaming-path benchmark (BENCH_stream.json):
 //
-//  1. Ingest throughput — StreamingDatabase::Append plus incremental CanTree
-//     maintenance (insert + evict) over a sliding window, measured in rows/s
-//     on a pre-generated drifting stream (generation is excluded).
+//  1. Ingest throughput — StreamingDatabase::Append plus WindowMiner
+//     maintenance (insert + evict) over a sliding window, as the trainer's
+//     Ingest does, measured in rows/s on a pre-generated drifting stream
+//     (generation is excluded).
 //       dfp.bench.stream.ingest_rows_per_s
-//  2. Window mining: remine vs incremental — both WindowMiner strategies mine
-//     the same sliding window at every checkpoint while the stream advances;
-//     total mine time per strategy and the speedup land as
-//       dfp.bench.stream.{remine_mine_ms,incremental_mine_ms,mine_speedup}.
-//     This is the measurement behind the ContinuousTrainerConfig default
-//     (window_miner = kIncremental); the golden-equivalence suite certifies
-//     the two strategies emit identical pattern sets.
+//  2. Window mining — the WindowMiner mines the sliding window at every
+//     checkpoint while the stream advances; the mean mine time lands as
+//       dfp.bench.stream.remine_mine_ms.
 //  3. Retrain latency + staleness — a full ContinuousTrainer loop (stream →
 //     mine → select → train → save → hot reload through ModelRegistry) on a
 //     row-count schedule, run serial then with the pipeline's worker threads
@@ -80,8 +77,8 @@ int main(int argc, char** argv) {
     mine_config.max_pattern_len = 4;
     mine_config.include_singletons = false;
 
-    // --- Phase 1+2: ingest throughput and remine-vs-incremental mining -----
-    bench::Section("Ingest + window mining (remine vs incremental)");
+    // --- Phase 1+2: ingest throughput and window mining ---------------------
+    bench::Section("Ingest + window mining");
     stream::StreamConfig stream_config;
     stream_config.num_items = source.num_items();
     stream_config.num_classes = source.num_classes();
@@ -95,9 +92,6 @@ int main(int argc, char** argv) {
     auto remine =
         stream::MakeWindowMiner(stream::WindowMinerKind::kRemine,
                                 source.num_items());
-    auto incremental =
-        stream::MakeWindowMiner(stream::WindowMinerKind::kIncremental,
-                                source.num_items());
 
     // Pre-generate canonical batches so the timed loop measures ingestion,
     // not synthesis.
@@ -110,7 +104,6 @@ int main(int argc, char** argv) {
 
     double ingest_seconds = 0.0;
     double remine_seconds = 0.0;
-    double incremental_seconds = 0.0;
     std::size_t checkpoints = 0;
     std::size_t patterns_last = 0;
     std::size_t ingested = 0;
@@ -124,20 +117,12 @@ int main(int argc, char** argv) {
                          appended.status().ToString().c_str());
             return 1;
         }
-        for (const auto& txn : batches[b].transactions) {
-            incremental->Insert(txn);
-        }
-        for (const auto& txn : appended->evicted.transactions) {
-            incremental->Evict(txn);
-        }
-        ingest_seconds += ingest.ElapsedSeconds();
-        ingested += batches[b].size();
-        // The remine strategy keeps its own window copy; its maintenance is
-        // trivial (deque push/pop) and is excluded from the ingest figure.
         for (const auto& txn : batches[b].transactions) remine->Insert(txn);
         for (const auto& txn : appended->evicted.transactions) {
             remine->Evict(txn);
         }
+        ingest_seconds += ingest.ElapsedSeconds();
+        ingested += batches[b].size();
 
         if ((*db)->window_size() < window_capacity) continue;
         if (b % checkpoint_every != 0) continue;
@@ -145,42 +130,26 @@ int main(int argc, char** argv) {
         Stopwatch remine_watch;
         auto from_remine = remine->MineWindow(mine_config);
         remine_seconds += remine_watch.ElapsedSeconds();
-        Stopwatch incremental_watch;
-        auto from_incremental = incremental->MineWindow(mine_config);
-        incremental_seconds += incremental_watch.ElapsedSeconds();
-        if (!from_remine.ok() || !from_incremental.ok()) {
-            std::fprintf(stderr, "window mine failed\n");
+        if (!from_remine.ok()) {
+            std::fprintf(stderr, "window mine failed: %s\n",
+                         from_remine.status().ToString().c_str());
             return 1;
         }
-        if (from_remine->size() != from_incremental->size()) {
-            std::fprintf(stderr, "PATTERN COUNT MISMATCH: remine %zu vs %zu\n",
-                         from_remine->size(), from_incremental->size());
-            return 1;
-        }
-        patterns_last = from_incremental->size();
+        patterns_last = from_remine->size();
     }
     const double ingest_rows_per_s =
         ingest_seconds > 0.0 ? static_cast<double>(ingested) / ingest_seconds
                              : 0.0;
-    const double mine_speedup =
-        incremental_seconds > 0.0 ? remine_seconds / incremental_seconds : 0.0;
     std::printf("ingest  : %zu rows in %.3fs (%.0f rows/s)\n", ingested,
                 ingest_seconds, ingest_rows_per_s);
     std::printf("mining  : %zu checkpoints, %zu patterns at the last\n",
                 checkpoints, patterns_last);
-    std::printf("remine      : %.3fs total (%.2f ms/mine)\n", remine_seconds,
+    std::printf("remine  : %.3fs total (%.2f ms/mine)\n", remine_seconds,
                 1e3 * remine_seconds / static_cast<double>(checkpoints));
-    std::printf("incremental : %.3fs total (%.2f ms/mine)\n",
-                incremental_seconds,
-                1e3 * incremental_seconds / static_cast<double>(checkpoints));
-    std::printf("speedup     : %.2fx (remine / incremental)\n", mine_speedup);
     registry.GetGauge("dfp.bench.stream.ingest_rows_per_s")
         .Set(ingest_rows_per_s);
     registry.GetGauge("dfp.bench.stream.remine_mine_ms")
         .Set(1e3 * remine_seconds / static_cast<double>(checkpoints));
-    registry.GetGauge("dfp.bench.stream.incremental_mine_ms")
-        .Set(1e3 * incremental_seconds / static_cast<double>(checkpoints));
-    registry.GetGauge("dfp.bench.stream.mine_speedup").Set(mine_speedup);
 
     // --- Phase 3: end-to-end retrain latency + staleness --------------------
     // Run the full trainer loop twice: serial pipeline, then the pipeline's

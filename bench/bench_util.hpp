@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/string_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/table_printer.hpp"
@@ -40,11 +39,10 @@ inline void BeginBenchObservability(std::size_t threads = 1) {
 /// working directory; these files are the machine-tracked perf trajectory
 /// (git-ignored — the numbers live in EXPERIMENTS.md / CI artifacts).
 inline void WriteBenchReport(const std::string& name) {
-    // Every bench report carries the memory footprint alongside the timing
-    // spans: process peak RSS plus the mining arenas' reservation gauges.
+    // Every bench report carries the process peak RSS alongside the timing
+    // spans.
     dfp::obs::Registry::Get().GetGauge("dfp.bench.peak_rss_bytes").Set(
         static_cast<double>(PeakRssBytes()));
-    PublishArenaMetrics();
     const dfp::obs::RunReport report = dfp::obs::CollectRunReport(name);
     const std::string path = "BENCH_" + name + ".json";
     const Status st = dfp::obs::WriteReportJsonFile(report, path);

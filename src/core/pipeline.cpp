@@ -7,10 +7,8 @@
 #include "common/parallel.hpp"
 #include "common/string_util.hpp"
 #include "core/minsup_strategy.hpp"
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -19,8 +17,6 @@ namespace dfp {
 std::unique_ptr<Miner> MakeMiner(MinerKind kind) {
     switch (kind) {
         case MinerKind::kClosed: return std::make_unique<ClosedMiner>();
-        case MinerKind::kFpGrowth: return std::make_unique<FpGrowthMiner>();
-        case MinerKind::kApriori: return std::make_unique<AprioriMiner>();
         case MinerKind::kEclat: return std::make_unique<EclatMiner>();
     }
     return nullptr;

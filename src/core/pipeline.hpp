@@ -19,7 +19,7 @@
 namespace dfp {
 
 /// Which miner generates the feature candidates.
-enum class MinerKind { kClosed, kFpGrowth, kApriori, kEclat };
+enum class MinerKind { kClosed, kEclat };
 
 std::unique_ptr<Miner> MakeMiner(MinerKind kind);
 
@@ -107,7 +107,7 @@ class PatternClassifierPipeline {
     /// support) on `train`, then runs the same selection → transform → learn
     /// tail as Train. Candidates need only their itemsets filled. This is the
     /// streaming entry point: stream::ContinuousTrainer feeds it patterns
-    /// maintained incrementally over the sliding window (DESIGN.md §16).
+    /// mined over the sliding window (DESIGN.md §16).
     Status TrainWithCandidates(const TransactionDatabase& train,
                                std::vector<Pattern> candidates,
                                std::unique_ptr<Classifier> learner);

@@ -8,7 +8,7 @@
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/string_util.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 #include "fpm/shard.hpp"
 #include "obs/metrics.hpp"
 
@@ -563,7 +563,7 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
 
 Result<std::vector<Pattern>> BruteForceClosed(const TransactionDatabase& db,
                                               const MinerConfig& config) {
-    FpGrowthMiner all_miner;
+    EclatMiner all_miner;
     MinerConfig all_config = config;
     all_config.max_pattern_len = std::numeric_limits<std::size_t>::max();
     all_config.include_singletons = true;

@@ -1,8 +1,9 @@
 // Eclat: depth-first vertical mining over tid bit vectors (Zaki 2000).
 //
-// Third independent frequent-itemset implementation; also the fastest of the
-// three on the dense databases this framework produces, since support counting
-// is a single AND+popcount over cached covers.
+// The repository's one all-frequent-itemset miner. On the dense databases
+// this framework produces support counting is a single AND+popcount over
+// cached covers, which made it 17x faster than the FP-growth it replaced on
+// the 4000x30 reference corpus (DESIGN.md §12).
 #pragma once
 
 #include "fpm/miner.hpp"

@@ -1,12 +1,13 @@
 // Common interface for frequent-itemset miners.
 //
-// Four miners implement it:
-//  * FpGrowthMiner  — FP-tree pattern growth, all frequent itemsets.
-//  * AprioriMiner   — level-wise candidate generation (reference baseline).
-//  * EclatMiner     — vertical bitset DFS (reference baseline).
-//  * ClosedMiner    — closed frequent itemsets only (LCM-style prefix-
-//                     preserving closure extension; output semantics identical
-//                     to FPClose, which the paper uses).
+// Two miners implement it, one per job:
+//  * ClosedMiner — closed frequent itemsets only (LCM-style prefix-preserving
+//                  closure extension; output semantics identical to FPClose,
+//                  which the paper uses). The pipeline's default.
+//  * EclatMiner  — all frequent itemsets (vertical tidset/diffset DFS): the
+//                  stream window miner and the closed-vs-all ablation.
+// Independent reference enumerations for both live with the tests
+// (tests/testutil/reference_miners.hpp).
 //
 // All miners honour an ExecutionBudget (pattern cap, wall-clock deadline,
 // estimated-memory cap, cancellation) so that runaway enumerations (e.g. the
@@ -45,9 +46,8 @@ struct MinerConfig {
     /// Emit single-item patterns too (the framework's feature space is I ∪ F,
     /// so singletons are usually redundant as patterns; default keeps them).
     bool include_singletons = true;
-    /// Worker threads for the mining fan-out (FP-growth / Eclat / closed
-    /// decompose recursively over conditional subproblems; Apriori stays
-    /// level-wise serial). 1 = today's serial code exactly;
+    /// Worker threads for the mining fan-out (Eclat and closed decompose
+    /// recursively over conditional subproblems). 1 = the serial code exactly;
     /// 0 = hardware_concurrency. The complete pattern set — and its emission
     /// order — is identical for every thread count; only budget-truncated
     /// runs may differ, and those are subsequences of the serial emission
@@ -73,7 +73,7 @@ class Miner {
   public:
     virtual ~Miner() = default;
 
-    /// Short identifier ("fpgrowth", "closed", ...).
+    /// Short identifier ("eclat" or "closed").
     virtual std::string Name() const = 0;
 
     /// Mines patterns from `db`, honouring config.budget cooperatively. On

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <thread>
 #include <type_traits>
 
 #include "common/logging.hpp"
@@ -59,15 +60,17 @@ static_assert(std::is_trivially_copyable_v<RequestTrace>,
 void TraceRing::StoreTrace(Slot& slot, const RequestTrace& trace) {
     std::uint64_t staged[kWords] = {};
     std::memcpy(staged, &trace, sizeof(trace));
+    // Release/acquire on the words: a reader whose copy sees any of them
+    // also sees the writer's claim of the slot, and so rejects the copy.
     for (std::size_t w = 0; w < kWords; ++w) {
-        slot.words[w].store(staged[w], std::memory_order_relaxed);
+        slot.words[w].store(staged[w], std::memory_order_release);
     }
 }
 
 RequestTrace TraceRing::LoadTrace(const Slot& slot) {
     std::uint64_t staged[kWords];
     for (std::size_t w = 0; w < kWords; ++w) {
-        staged[w] = slot.words[w].load(std::memory_order_relaxed);
+        staged[w] = slot.words[w].load(std::memory_order_acquire);
     }
     RequestTrace trace;
     std::memcpy(&trace, staged, sizeof(trace));
@@ -77,15 +80,28 @@ RequestTrace TraceRing::LoadTrace(const Slot& slot) {
 void TraceRing::Push(const RequestTrace& trace) {
     const std::uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[idx & mask_];
-    // Per-slot seqlock: odd marks the slot in-flight. Two writers lapping
-    // each other onto the same slot both bump the sequence, so a reader can
-    // only accept a slot whose sequence was even AND unchanged around its
-    // copy — torn reads are impossible to return. The payload itself goes
-    // through relaxed atomic words (StoreTrace/LoadTrace) so the concurrent
-    // accesses the seqlock tolerates are not data races.
-    slot.seq.fetch_add(1, std::memory_order_acq_rel);
+    // Per-slot seqlock: odd marks the slot in-flight. A writer claims the
+    // slot by moving its sequence from even s to s+1, waiting while another
+    // writer that lapped onto the same slot holds it, and publishes s+2. So
+    // at most one writer is inside a slot, and a reader that saw the same
+    // even sequence before and after its copy read one whole trace. The
+    // payload itself goes through atomic words (StoreTrace/LoadTrace) so the
+    // reads the seqlock discards are not data races.
+    std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+    for (;;) {
+        if (seq % 2 != 0) {
+            std::this_thread::yield();
+            seq = slot.seq.load(std::memory_order_relaxed);
+            continue;
+        }
+        if (slot.seq.compare_exchange_weak(seq, seq + 1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+            break;
+        }
+    }
     StoreTrace(slot, trace);
-    slot.seq.fetch_add(1, std::memory_order_release);
+    slot.seq.store(seq + 2, std::memory_order_release);
 }
 
 std::vector<RequestTrace> TraceRing::Dump() const {
@@ -100,7 +116,6 @@ std::vector<RequestTrace> TraceRing::Dump() const {
             slot.seq.load(std::memory_order_acquire);
         if (seq_before % 2 != 0) continue;  // writer mid-flight
         const RequestTrace copy = LoadTrace(slot);
-        std::atomic_thread_fence(std::memory_order_acquire);
         if (slot.seq.load(std::memory_order_relaxed) != seq_before) {
             continue;  // overwritten while copying
         }

@@ -6,8 +6,9 @@
 // that scored it. The thread-local obs::Span tree cannot represent this —
 // its spans are per-thread and a served request crosses at least two threads.
 //
-// Completed traces land in a bounded lock-free TraceRing (per-slot seqlock:
-// writers never block, a reader skips slots it catches mid-write) and can be
+// Completed traces land in a bounded TraceRing (per-slot seqlock: a writer
+// waits only for another writer that lapped onto the same slot, a reader
+// never waits and skips slots it catches mid-write) and can be
 // dumped as Chrome trace-event JSON — load the file in chrome://tracing or
 // https://ui.perfetto.dev to see per-request stage bars grouped by the
 // thread that executed them.
@@ -69,9 +70,9 @@ struct RequestTrace {
 /// Small stable integer id for the calling thread (first call assigns).
 std::uint64_t CompressedThreadId();
 
-/// Bounded lock-free ring of completed request traces. Push() overwrites the
-/// oldest entries once full; Dump() returns surviving traces oldest-first,
-/// skipping any slot caught mid-write (per-slot seqlock, no reader lock).
+/// Bounded ring of completed request traces. Push() overwrites the oldest
+/// entries once full; Dump() returns surviving traces oldest-first, skipping
+/// any slot caught mid-write (per-slot seqlock, no reader lock).
 class TraceRing {
   public:
     /// `capacity` is rounded up to a power of two (minimum 2).
@@ -91,13 +92,14 @@ class TraceRing {
         sizeof(std::uint64_t);
 
     struct Slot {
-        /// Seqlock: odd while a writer owns the slot, even when stable.
+        /// Seqlock: odd while a writer owns the slot, even when stable. A
+        /// writer claims it by CAS from even to odd, so writers that lap onto
+        /// one slot take turns.
         std::atomic<std::uint64_t> seq{0};
-        /// Payload stored as relaxed atomic words (copied via memcpy on both
-        /// sides): lapping writers and in-flight readers may touch a slot
-        /// concurrently, and the seqlock only discards the *values* — the
-        /// accesses themselves must be data-race-free for TSan/the memory
-        /// model. Word-sized relaxed atomics keep Push lock-free.
+        /// Payload stored as atomic words (copied via memcpy on both sides):
+        /// a writer and in-flight readers may touch a slot concurrently, and
+        /// the seqlock only discards the *values* — the accesses themselves
+        /// must be data-race-free for TSan/the memory model.
         std::array<std::atomic<std::uint64_t>, kWords> words{};
     };
 

@@ -19,7 +19,7 @@
 //    transactions. Append returns the rows it evicted so window-maintenance
 //    structures (stream::WindowMiner) can stay in sync incrementally.
 //  * SnapshotWindow() materializes the window as a regular
-//    TransactionDatabase — the bridge back into the arena miners and the
+//    TransactionDatabase — the bridge back into the miners and the
 //    training pipeline. The snapshot is cached and shared: repeated calls
 //    between appends return the same immutable database for free.
 //    SnapshotDecayed() is the decay-weighted view: row weights

@@ -145,7 +145,7 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
     const auto started = std::chrono::steady_clock::now();
 
     // Snapshot phase, under the ingest mutex: the window database and the
-    // incrementally maintained patterns must describe the same window.
+    // WindowMiner's rows must describe the same window.
     std::shared_ptr<const TransactionDatabase> window;
     Result<std::vector<Pattern>> mined = std::vector<Pattern>{};
     std::uint64_t stream_version = 0;

@@ -13,7 +13,7 @@
 //                        retrain is awaiting retry, no model is serving yet
 //                        (bootstrap), the row-count schedule fires
 //                        (retrain_every), or the DriftDetector reports drift.
-//   RetrainNow(trigger)  mines the window incrementally, runs the pipeline's
+//   RetrainNow(trigger)  mines the window (WindowMiner), runs the pipeline's
 //                        selection → transform → learn tail
 //                        (TrainWithCandidates), persists a versioned bundle
 //                        and publishes it through ModelRegistry::Reload() —
@@ -49,14 +49,9 @@ struct ContinuousTrainerConfig {
     PipelineConfig pipeline;
     /// Learner TypeId for every retrain ("nb", "svm", "c4.5", "pegasos").
     std::string learner_type = "nb";
-    /// Window pattern maintenance strategy. Remine is the default: on
-    /// window-sized workloads bench_stream measured mining a fresh
-    /// descending-frequency FP-tree 1.5-2x faster than mining the
-    /// incrementally maintained CanTree, whose fixed item order leaves
-    /// bushier conditional bases (see BENCH_stream.json / DESIGN.md §16).
-    /// The incremental path stays available for eviction-heavy windows where
-    /// O(row) maintenance matters more than per-mine speed; the
-    /// golden-equivalence suite certifies both emit identical pattern sets.
+    /// Window mining strategy (stream/window_miner.hpp). Re-mining the
+    /// window with Eclat is the only one; the field stays for callers that
+    /// set it.
     WindowMinerKind window_miner = WindowMinerKind::kRemine;
     /// Scheduled retraining: rows ingested between retrains (0 = drift/
     /// bootstrap only). Row counts, not wall clock, keep tests deterministic.

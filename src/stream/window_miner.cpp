@@ -4,18 +4,16 @@
 #include <cassert>
 #include <deque>
 
-#include "common/string_util.hpp"
 #include "data/transaction_db.hpp"
-#include "fpm/fpgrowth.hpp"
-#include "obs/metrics.hpp"
+#include "fpm/eclat.hpp"
 
 namespace dfp::stream {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Remine: keep the raw window, rebuild a TransactionDatabase and run the
-// arena FP-growth miner per MineWindow call.
+// Remine: keep the raw window, rebuild a TransactionDatabase and run Eclat
+// per MineWindow call.
 // ---------------------------------------------------------------------------
 class RemineWindowMiner final : public WindowMiner {
   public:
@@ -48,7 +46,7 @@ class RemineWindowMiner final : public WindowMiner {
             std::move(txns), std::move(labels), num_items_, /*num_classes=*/1);
         MinerConfig strict = config;
         strict.budget = ExecutionBudget{};  // window mining is window-bounded
-        return FpGrowthMiner().Mine(db, strict);
+        return EclatMiner().Mine(db, strict);
     }
 
   private:
@@ -56,266 +54,11 @@ class RemineWindowMiner final : public WindowMiner {
     std::deque<std::vector<ItemId>> window_;
 };
 
-// ---------------------------------------------------------------------------
-// Incremental: CanTree maintenance + pattern growth off the maintained tree.
-//
-// Paths follow ascending ItemId order, so every canonical transaction maps
-// to exactly one root→node path: Insert/Evict are one walk with count
-// updates, never a restructure. Nodes whose count drops to zero are kept in
-// place (skipped while mining) and garbage-collected by a rebuild when they
-// outnumber the live nodes.
-// ---------------------------------------------------------------------------
-class IncrementalWindowMiner final : public WindowMiner {
-  public:
-    explicit IncrementalWindowMiner(std::size_t num_items)
-        : num_items_(num_items),
-          item_support_(num_items, 0),
-          header_(num_items) {
-        nodes_.push_back(Node{});  // root (item == kNoItem, count unused)
-    }
-
-    std::string Name() const override { return "incremental"; }
-
-    void Insert(const std::vector<ItemId>& txn) override {
-        std::uint32_t cur = 0;
-        for (const ItemId item : txn) {
-            cur = ChildOrCreate(cur, item);
-            Node& node = nodes_[cur];
-            if (node.count == 0) --zero_nodes_;
-            ++node.count;
-            ++item_support_[item];
-        }
-        ++size_;
-    }
-
-    void Evict(const std::vector<ItemId>& txn) override {
-        std::uint32_t cur = 0;
-        for (const ItemId item : txn) {
-            const std::uint32_t child = FindChild(cur, item);
-            assert(child != 0 && "evicting a transaction not in the tree");
-            if (child == 0) return;
-            Node& node = nodes_[child];
-            assert(node.count > 0);
-            --node.count;
-            if (node.count == 0) ++zero_nodes_;
-            --item_support_[item];
-            cur = child;
-        }
-        assert(size_ > 0);
-        --size_;
-        MaybeGarbageCollect();
-    }
-
-    std::size_t size() const override { return size_; }
-
-    Result<std::vector<Pattern>> MineWindow(const MinerConfig& config) override {
-        const std::size_t min_sup = ResolveMinSup(config, size_);
-        const std::size_t max_len = config.max_pattern_len;
-        std::vector<Pattern> patterns;
-        std::vector<ItemId> suffix;  // chosen items, descending
-        scratch_.assign(num_items_, 0);
-
-        for (ItemId i = 0; i < num_items_; ++i) {
-            if (item_support_[i] < min_sup) continue;
-            if (config.include_singletons && max_len >= 1) {
-                Pattern p;
-                p.items = {i};
-                p.support = item_support_[i];
-                patterns.push_back(std::move(p));
-                if (patterns.size() > config.max_patterns) break;
-            }
-            if (max_len < 2) continue;
-            // Conditional pattern base of i: for every live node holding i,
-            // the ancestor items (all < i) with that node's count.
-            Base base;
-            for (const std::uint32_t idx : header_[i]) {
-                const Node& node = nodes_[idx];
-                if (node.count == 0) continue;
-                BasePath path;
-                path.count = node.count;
-                for (std::uint32_t a = node.parent; a != 0;
-                     a = nodes_[a].parent) {
-                    path.items.push_back(nodes_[a].item);
-                }
-                if (path.items.empty()) continue;
-                std::reverse(path.items.begin(), path.items.end());
-                base.push_back(std::move(path));
-            }
-            suffix.assign(1, i);
-            const Status st =
-                MineBase(base, min_sup, max_len, config.max_patterns, &suffix,
-                         &patterns);
-            if (!st.ok()) return st;
-            if (patterns.size() > config.max_patterns) break;
-        }
-        if (patterns.size() > config.max_patterns) {
-            return Status::ResourceExhausted(
-                StrFormat("window mining exceeded max_patterns %zu",
-                          config.max_patterns));
-        }
-        obs::Registry::Get()
-            .GetGauge("dfp.stream.cantree_nodes")
-            .Set(static_cast<double>(nodes_.size() - 1));
-        return patterns;
-    }
-
-  private:
-    static constexpr ItemId kNoItem = ~ItemId{0};
-
-    struct Node {
-        ItemId item = kNoItem;
-        std::uint32_t count = 0;
-        std::uint32_t parent = 0;
-        /// Children sorted by item for binary-search descent.
-        std::vector<std::pair<ItemId, std::uint32_t>> children;
-    };
-
-    struct BasePath {
-        std::vector<ItemId> items;  // ascending, all < the conditioned item
-        std::uint64_t count = 0;
-    };
-    using Base = std::vector<BasePath>;
-
-    std::uint32_t FindChild(std::uint32_t parent, ItemId item) const {
-        const auto& kids = nodes_[parent].children;
-        const auto it = std::lower_bound(
-            kids.begin(), kids.end(), item,
-            [](const auto& kv, ItemId want) { return kv.first < want; });
-        return (it != kids.end() && it->first == item) ? it->second : 0;
-    }
-
-    std::uint32_t ChildOrCreate(std::uint32_t parent, ItemId item) {
-        if (const std::uint32_t found = FindChild(parent, item); found != 0) {
-            return found;
-        }
-        const auto idx = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.push_back(Node{item, 0, parent, {}});
-        ++zero_nodes_;
-        auto& kids = nodes_[parent].children;
-        kids.insert(std::lower_bound(kids.begin(), kids.end(), item,
-                                     [](const auto& kv, ItemId want) {
-                                         return kv.first < want;
-                                     }),
-                    {item, idx});
-        header_[item].push_back(idx);
-        return idx;
-    }
-
-    /// Pattern growth over a conditional base: every frequent item j in the
-    /// base extends the suffix; recursion conditions the base on j (prefix
-    /// items < j). Emitted items are ascending because suffix is descending.
-    Status MineBase(const Base& base, std::size_t min_sup, std::size_t max_len,
-                    std::size_t max_patterns, std::vector<ItemId>* suffix,
-                    std::vector<Pattern>* patterns) {
-        // Weighted item frequencies within the base (scratch_ is shared
-        // across recursion levels; each level resets only what it touched).
-        std::vector<ItemId> touched;
-        for (const BasePath& path : base) {
-            for (const ItemId j : path.items) {
-                if (scratch_[j] == 0) touched.push_back(j);
-                scratch_[j] += path.count;
-            }
-        }
-        std::sort(touched.begin(), touched.end());
-        std::vector<std::pair<ItemId, std::uint64_t>> frequent;
-        for (const ItemId j : touched) {
-            if (scratch_[j] >= min_sup) frequent.emplace_back(j, scratch_[j]);
-            scratch_[j] = 0;
-        }
-
-        for (const auto& [j, freq] : frequent) {
-            Pattern p;
-            p.items.reserve(suffix->size() + 1);
-            p.items.push_back(j);
-            p.items.insert(p.items.end(), suffix->rbegin(), suffix->rend());
-            p.support = freq;
-            patterns->push_back(std::move(p));
-            if (patterns->size() > max_patterns) {
-                return Status::ResourceExhausted(
-                    StrFormat("window mining exceeded max_patterns %zu",
-                              max_patterns));
-            }
-            if (suffix->size() + 1 >= max_len) continue;
-            Base conditioned;
-            for (const BasePath& path : base) {
-                const auto it = std::lower_bound(path.items.begin(),
-                                                 path.items.end(), j);
-                if (it == path.items.end() || *it != j ||
-                    it == path.items.begin()) {
-                    continue;
-                }
-                conditioned.push_back(
-                    BasePath{{path.items.begin(), it}, path.count});
-            }
-            if (conditioned.empty()) continue;
-            suffix->push_back(j);
-            const Status st = MineBase(conditioned, min_sup, max_len,
-                                       max_patterns, suffix, patterns);
-            suffix->pop_back();
-            if (!st.ok()) return st;
-        }
-        return Status::Ok();
-    }
-
-    /// Rebuilds the tree from its live paths once dead (zero-count) nodes
-    /// dominate, reclaiming memory after heavy churn. O(live tree).
-    void MaybeGarbageCollect() {
-        if (nodes_.size() < 64 || zero_nodes_ * 2 < nodes_.size()) return;
-        // A node's "terminal count" (count minus the sum of child counts) is
-        // the number of window transactions ending exactly there; re-insert
-        // each terminal path into a fresh tree.
-        std::vector<std::pair<std::vector<ItemId>, std::uint64_t>> live_paths;
-        std::vector<ItemId> path;
-        CollectLive(0, &path, &live_paths);
-
-        nodes_.clear();
-        nodes_.push_back(Node{});
-        for (auto& lists : header_) lists.clear();
-        std::fill(item_support_.begin(), item_support_.end(), 0);
-        zero_nodes_ = 0;
-        const std::size_t restored = size_;
-        size_ = 0;
-        for (const auto& [items, count] : live_paths) {
-            for (std::uint64_t c = 0; c < count; ++c) Insert(items);
-        }
-        assert(size_ == restored);
-        (void)restored;
-        obs::Registry::Get().GetCounter("dfp.stream.cantree_gcs").Inc();
-    }
-
-    void CollectLive(
-        std::uint32_t idx, std::vector<ItemId>* path,
-        std::vector<std::pair<std::vector<ItemId>, std::uint64_t>>* out) const {
-        const Node& node = nodes_[idx];
-        std::uint64_t child_total = 0;
-        for (const auto& [item, child] : node.children) {
-            (void)item;
-            if (nodes_[child].count == 0) continue;
-            path->push_back(nodes_[child].item);
-            CollectLive(child, path, out);
-            path->pop_back();
-            child_total += nodes_[child].count;
-        }
-        if (idx != 0 && node.count > child_total) {
-            out->emplace_back(*path, node.count - child_total);
-        }
-    }
-
-    std::size_t num_items_;
-    std::size_t size_ = 0;
-    std::vector<Node> nodes_;
-    std::vector<std::uint64_t> item_support_;
-    std::vector<std::vector<std::uint32_t>> header_;  ///< per-item node lists
-    std::size_t zero_nodes_ = 0;
-    std::vector<std::uint64_t> scratch_;  ///< per-mine item-frequency scratch
-};
-
 }  // namespace
 
 const char* WindowMinerKindName(WindowMinerKind kind) {
     switch (kind) {
         case WindowMinerKind::kRemine: return "remine";
-        case WindowMinerKind::kIncremental: return "incremental";
     }
     return "unknown";
 }
@@ -325,8 +68,6 @@ std::unique_ptr<WindowMiner> MakeWindowMiner(WindowMinerKind kind,
     switch (kind) {
         case WindowMinerKind::kRemine:
             return std::make_unique<RemineWindowMiner>(num_items);
-        case WindowMinerKind::kIncremental:
-            return std::make_unique<IncrementalWindowMiner>(num_items);
     }
     return nullptr;
 }

@@ -1,24 +1,12 @@
-// Window pattern maintenance: mine the current sliding window, two ways.
+// Window pattern mining: all frequent itemsets of the current sliding window.
 //
 // The streaming trainer needs frequent itemsets over the live window on every
-// retrain. Two strategies implement one interface (DESIGN.md §16):
-//
-//  * RemineWindowMiner — materialize the window as a TransactionDatabase and
-//    run an arena miner from scratch. Zero maintenance cost per append, full
-//    mining cost per retrain; benefits from everything PR 4 did to the
-//    mining core.
-//  * IncrementalWindowMiner — maintain a CanTree (Leung et al.): an FP-tree
-//    whose paths follow the FIXED ascending ItemId order instead of the
-//    support-descending order. Support order changes as the window slides,
-//    which would force restructuring; canonical order never changes, so
-//    inserting or evicting a transaction is one O(length) path walk with
-//    count increments/decrements. Mining pattern-grows directly off the
-//    maintained tree — no window re-scan, no tree rebuild.
-//
-// Both produce IDENTICAL pattern sets (items + exact window support) for the
-// same window and MinerConfig — certified over 20 seeded streams by
-// tests/stream/window_miner_test.cpp, benchmarked by bench/bench_stream.cpp.
-// Semantics are all-frequent-itemsets (FP-growth's), not closed.
+// retrain (DESIGN.md §16). The one strategy keeps the window's raw rows and,
+// per MineWindow call, materializes them as a TransactionDatabase and mines
+// it from scratch with EclatMiner: zero maintenance cost per append, one
+// vertical mine per retrain. Semantics are all-frequent-itemsets, not closed;
+// tests/stream/window_miner_test.cpp certifies the pattern set against an
+// independent reference enumeration over 20 seeded streams.
 //
 // Removals must be exact: Evict() expects a transaction currently in the
 // window (canonicalized), which FIFO window eviction guarantees.
@@ -41,7 +29,7 @@ class WindowMiner {
   public:
     virtual ~WindowMiner() = default;
 
-    /// "remine" or "incremental".
+    /// "remine".
     virtual std::string Name() const = 0;
 
     /// Adds one canonical (sorted, duplicate-free) transaction.
@@ -61,11 +49,13 @@ class WindowMiner {
     virtual Result<std::vector<Pattern>> MineWindow(const MinerConfig& config) = 0;
 };
 
-enum class WindowMinerKind { kRemine, kIncremental };
+/// One value: the factory and the trainer's `window_miner` field stay so
+/// existing callers keep compiling.
+enum class WindowMinerKind { kRemine };
 
 const char* WindowMinerKindName(WindowMinerKind kind);
 
-/// `num_items` bounds the item universe (CanTree header table size).
+/// `num_items` bounds the item universe of the materialized window.
 std::unique_ptr<WindowMiner> MakeWindowMiner(WindowMinerKind kind,
                                              std::size_t num_items);
 

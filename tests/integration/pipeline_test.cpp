@@ -81,8 +81,7 @@ TEST(PipelineTest, PerClassVsGlobalMining) {
 
 TEST(PipelineTest, AllMinerKindsWork) {
     const auto db = XorDb(150, 5);
-    for (MinerKind kind : {MinerKind::kClosed, MinerKind::kFpGrowth,
-                           MinerKind::kApriori, MinerKind::kEclat}) {
+    for (MinerKind kind : {MinerKind::kClosed, MinerKind::kEclat}) {
         PipelineConfig config = DefaultConfig();
         config.miner_kind = kind;
         PatternClassifierPipeline pipeline(config);

@@ -14,7 +14,6 @@
 #include "core/mmrfs.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "ml/eval/cross_validation.hpp"
 #include "ml/svm/svm.hpp"
 
@@ -50,7 +49,6 @@ class MinerThreadEquivalenceTest : public ::testing::TestWithParam<const char*> 
   protected:
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
-        if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         if (name == "closed") return std::make_unique<ClosedMiner>();
         return nullptr;
@@ -105,7 +103,7 @@ TEST_P(MinerThreadEquivalenceTest, EmissionOrderMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ParallelMiners, MinerThreadEquivalenceTest,
-                         ::testing::Values("fpgrowth", "eclat", "closed"));
+                         ::testing::Values("eclat", "closed"));
 
 TEST(MmrfsThreadEquivalenceTest, SelectedSequenceIdenticalForEveryThreadCount) {
     for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {

@@ -1,238 +1,30 @@
-// Golden-equivalence certificates for the allocation-aware mining core.
+// Golden-equivalence certificates for the mining core.
 //
-// The arena FP-tree, the hybrid tidset/diffset Eclat and the scratch-backed
-// closed miner all claim "same patterns, same supports, same order" as the
-// pre-arena implementations. This suite pins that claim against *reference
-// miners written independently of the production data structures*:
-//
-//  * RefFpGrowth — the FP-growth enumeration over plain weighted transaction
-//    lists (a conditional FP-tree is just a compression of its conditional
-//    pattern base; emission order depends only on the per-level header order:
-//    support desc, item asc, mined in reverse).
-//  * RefEclat    — the plain copy-per-candidate tidset DFS (the pre-diffset
-//    implementation).
-//  * RefClosed   — the LCM closure-extension DFS with copy-per-extension
-//    covers (the pre-scratch implementation).
-//
-// Each runs across 20 seeded synthetic databases spanning sparse and dense
-// regimes, and the production miners must match item-for-item, support-for-
-// support, in emission order.
+// The hybrid tidset/diffset Eclat and the scratch-backed closed miner claim
+// "same patterns, same supports, same order" as the plain algorithms they
+// optimize. This suite pins that claim against the reference miners in
+// tests/testutil/reference_miners.hpp, which are written independently of
+// the production data structures, across 20 seeded synthetic databases
+// spanning sparse and dense regimes: the production miners must match
+// item-for-item, support-for-support, in emission order. Eclat's pattern set
+// must also equal the reference FP-growth enumeration, an unrelated
+// algorithm.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
-#include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "testutil/reference_miners.hpp"
 
 namespace dfp {
 namespace {
 
-struct RefPattern {
-    Itemset items;
-    std::size_t support = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Reference FP-growth over weighted transaction lists.
-
-struct WeightedTxn {
-    std::vector<ItemId> items;  // ordered by current-level rank
-    std::size_t count = 1;
-};
-
-void RefGrow(const std::vector<WeightedTxn>& txns, std::size_t min_sup,
-             std::size_t universe, Itemset& suffix,
-             std::vector<RefPattern>* out) {
-    std::vector<std::size_t> support(universe, 0);
-    for (const WeightedTxn& t : txns) {
-        for (ItemId i : t.items) support[i] += t.count;
-    }
-    // Header order: support desc, item asc.
-    std::vector<ItemId> freq;
-    for (ItemId i = 0; i < universe; ++i) {
-        if (support[i] >= min_sup) freq.push_back(i);
-    }
-    std::stable_sort(freq.begin(), freq.end(), [&](ItemId a, ItemId b) {
-        if (support[a] != support[b]) return support[a] > support[b];
-        return a < b;
-    });
-    std::vector<std::size_t> rank(universe, universe);
-    for (std::size_t r = 0; r < freq.size(); ++r) rank[freq[r]] = r;
-
-    // Mine least-frequent first (reverse header order).
-    for (std::size_t idx = freq.size(); idx-- > 0;) {
-        const ItemId item = freq[idx];
-        suffix.push_back(item);
-        RefPattern p;
-        p.items = suffix;
-        std::sort(p.items.begin(), p.items.end());
-        p.support = support[item];
-        out->push_back(std::move(p));
-
-        // Conditional base: the rank-ordered frequent prefix of every
-        // transaction containing `item` (exactly the tree's prefix paths).
-        std::vector<WeightedTxn> base;
-        for (const WeightedTxn& t : txns) {
-            std::vector<ItemId> kept;
-            for (ItemId i : t.items) {
-                if (rank[i] < idx) kept.push_back(i);
-            }
-            const bool has_item =
-                std::find(t.items.begin(), t.items.end(), item) != t.items.end();
-            if (has_item && !kept.empty()) {
-                std::sort(kept.begin(), kept.end(), [&](ItemId a, ItemId b) {
-                    return rank[a] < rank[b];
-                });
-                base.push_back(WeightedTxn{std::move(kept), t.count});
-            }
-        }
-        if (!base.empty()) RefGrow(base, min_sup, universe, suffix, out);
-        suffix.pop_back();
-    }
-}
-
-std::vector<RefPattern> RefFpGrowth(const TransactionDatabase& db,
-                                    std::size_t min_sup) {
-    std::vector<WeightedTxn> txns;
-    for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        std::vector<ItemId> items;
-        for (ItemId i = 0; i < db.num_items(); ++i) {
-            if (db.ItemCover(i).Test(t)) items.push_back(i);
-        }
-        txns.push_back(WeightedTxn{std::move(items), 1});
-    }
-    std::vector<RefPattern> out;
-    Itemset suffix;
-    RefGrow(txns, min_sup, db.num_items(), suffix, &out);
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Reference Eclat: copy-per-candidate tidset DFS.
-
-void RefEclatDfs(const TransactionDatabase& db, std::size_t min_sup,
-                 Itemset& prefix, const BitVector& cover,
-                 const std::vector<ItemId>& candidates,
-                 std::vector<RefPattern>* out) {
-    for (std::size_t k = 0; k < candidates.size(); ++k) {
-        const ItemId i = candidates[k];
-        BitVector extended = cover;
-        extended &= db.ItemCover(i);
-        const std::size_t support = extended.Count();
-        if (support < min_sup) continue;
-        prefix.push_back(i);
-        out->push_back(RefPattern{prefix, support});
-        const std::vector<ItemId> rest(candidates.begin() + k + 1,
-                                       candidates.end());
-        if (!rest.empty()) {
-            RefEclatDfs(db, min_sup, prefix, extended, rest, out);
-        }
-        prefix.pop_back();
-    }
-}
-
-std::vector<RefPattern> RefEclat(const TransactionDatabase& db,
-                                 std::size_t min_sup) {
-    std::vector<ItemId> frequent;
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-        if (db.ItemSupport(i) >= min_sup) frequent.push_back(i);
-    }
-    BitVector all(db.num_transactions());
-    all.Fill();
-    std::vector<RefPattern> out;
-    Itemset prefix;
-    RefEclatDfs(db, min_sup, prefix, all, frequent, &out);
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Reference closed miner: LCM closure extension with copied covers.
-
-void RefClosedDfs(const TransactionDatabase& db, std::size_t min_sup,
-                  const std::vector<ItemId>& frequent, const Itemset& closed,
-                  const BitVector& tidset, ItemId core,
-                  std::vector<RefPattern>* out) {
-    for (ItemId i : frequent) {
-        if (i <= core) continue;
-        if (std::binary_search(closed.begin(), closed.end(), i)) continue;
-        BitVector extended = tidset;
-        extended &= db.ItemCover(i);
-        const std::size_t support = extended.Count();
-        if (support < min_sup) continue;
-        Itemset closure;
-        bool prefix_ok = true;
-        for (ItemId j : frequent) {
-            if (std::binary_search(closed.begin(), closed.end(), j)) {
-                closure.push_back(j);
-                continue;
-            }
-            if (extended.IsSubsetOf(db.ItemCover(j))) {
-                if (j < i) {
-                    prefix_ok = false;
-                    break;
-                }
-                closure.push_back(j);
-            }
-        }
-        if (!prefix_ok) continue;
-        std::sort(closure.begin(), closure.end());
-        out->push_back(RefPattern{closure, support});
-        RefClosedDfs(db, min_sup, frequent, closure, extended, i, out);
-    }
-}
-
-std::vector<RefPattern> RefClosed(const TransactionDatabase& db,
-                                  std::size_t min_sup) {
-    const std::size_t n = db.num_transactions();
-    std::vector<ItemId> frequent;
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-        if (db.ItemSupport(i) >= min_sup) frequent.push_back(i);
-    }
-    Itemset root_closed;
-    for (ItemId i : frequent) {
-        if (db.ItemSupport(i) == n) root_closed.push_back(i);
-    }
-    std::vector<RefPattern> out;
-    if (!root_closed.empty() && n >= min_sup) {
-        out.push_back(RefPattern{root_closed, n});
-    }
-    for (ItemId i : frequent) {
-        if (std::binary_search(root_closed.begin(), root_closed.end(), i)) {
-            continue;
-        }
-        BitVector tidset = db.ItemCover(i);
-        const std::size_t support = tidset.Count();
-        if (support < min_sup) continue;
-        Itemset closure;
-        bool prefix_ok = true;
-        for (ItemId j : frequent) {
-            if (std::binary_search(root_closed.begin(), root_closed.end(), j)) {
-                closure.push_back(j);
-                continue;
-            }
-            if (tidset.IsSubsetOf(db.ItemCover(j))) {
-                if (j < i) {
-                    prefix_ok = false;
-                    break;
-                }
-                closure.push_back(j);
-            }
-        }
-        if (prefix_ok) {
-            std::sort(closure.begin(), closure.end());
-            out.push_back(RefPattern{closure, support});
-            RefClosedDfs(db, min_sup, frequent, closure, tidset, i, &out);
-        }
-    }
-    return out;
-}
-
-// ---------------------------------------------------------------------------
+using testutil::ReferenceClosed;
+using testutil::ReferenceEclat;
+using testutil::ReferenceFpGrowth;
+using testutil::SupportMap;
 
 TransactionDatabase RandomDb(std::uint64_t seed, std::size_t rows,
                              std::size_t items, double density) {
@@ -274,7 +66,7 @@ std::vector<DbSpec> GoldenSpecs() {
 }
 
 void ExpectSameStream(const std::vector<Pattern>& got,
-                      const std::vector<RefPattern>& want,
+                      const std::vector<Pattern>& want,
                       const char* miner, std::uint64_t seed) {
     ASSERT_EQ(got.size(), want.size()) << miner << " seed=" << seed;
     for (std::size_t p = 0; p < got.size(); ++p) {
@@ -282,19 +74,6 @@ void ExpectSameStream(const std::vector<Pattern>& got,
             << miner << " seed=" << seed << " position=" << p;
         ASSERT_EQ(got[p].support, want[p].support)
             << miner << " seed=" << seed << " position=" << p;
-    }
-}
-
-TEST(GoldenMinerTest, FpGrowthMatchesReferenceEnumeration) {
-    FpGrowthMiner miner;
-    for (const DbSpec& spec : GoldenSpecs()) {
-        const auto db = RandomDb(spec.seed, spec.rows, spec.items, spec.density);
-        MinerConfig config;
-        config.min_sup_rel = spec.min_sup_rel;
-        const auto got = miner.Mine(db, config);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const auto want = RefFpGrowth(db, ResolveMinSup(config, spec.rows));
-        ExpectSameStream(*got, want, "fpgrowth", spec.seed);
     }
 }
 
@@ -306,7 +85,7 @@ TEST(GoldenMinerTest, EclatMatchesReferenceTidsetDfs) {
         config.min_sup_rel = spec.min_sup_rel;
         const auto got = miner.Mine(db, config);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const auto want = RefEclat(db, ResolveMinSup(config, spec.rows));
+        const auto want = ReferenceEclat(db, ResolveMinSup(config, spec.rows));
         ExpectSameStream(*got, want, "eclat", spec.seed);
     }
 }
@@ -319,28 +98,23 @@ TEST(GoldenMinerTest, ClosedMatchesReferenceLcm) {
         config.min_sup_rel = spec.min_sup_rel;
         const auto got = miner.Mine(db, config);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const auto want = RefClosed(db, ResolveMinSup(config, spec.rows));
+        const auto want = ReferenceClosed(db, ResolveMinSup(config, spec.rows));
         ExpectSameStream(*got, want, "closed", spec.seed);
     }
 }
 
-// The three production miners agree with each other on the *set* of frequent
-// patterns (orders differ by design: FP-growth is suffix-major).
-TEST(GoldenMinerTest, MinersAgreeOnPatternSets) {
-    FpGrowthMiner fp;
+// Eclat's pattern set equals the FP-growth enumeration's (orders differ by
+// design: FP-growth is suffix-major).
+TEST(GoldenMinerTest, EclatMatchesReferenceFpGrowthPatternSet) {
     EclatMiner ec;
     for (const DbSpec& spec : GoldenSpecs()) {
         const auto db = RandomDb(spec.seed, spec.rows, spec.items, spec.density);
         MinerConfig config;
         config.min_sup_rel = spec.min_sup_rel;
-        auto a = fp.Mine(db, config);
-        auto b = ec.Mine(db, config);
-        ASSERT_TRUE(a.ok() && b.ok());
-        std::map<Itemset, std::size_t> ma;
-        for (const Pattern& p : *a) ma[p.items] = p.support;
-        std::map<Itemset, std::size_t> mb;
-        for (const Pattern& p : *b) mb[p.items] = p.support;
-        ASSERT_EQ(ma, mb) << "seed=" << spec.seed;
+        const auto got = ec.Mine(db, config);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const auto want = ReferenceFpGrowth(db, ResolveMinSup(config, spec.rows));
+        ASSERT_EQ(SupportMap(*got), SupportMap(want)) << "seed=" << spec.seed;
     }
 }
 

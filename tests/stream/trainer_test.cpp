@@ -248,8 +248,6 @@ TEST_F(TrainerTest, DecayedSnapshotTrainingWorksEndToEnd) {
     serve::ModelRegistry registry;
     ContinuousTrainerConfig config = TrainerConfig(ModelDir("decay"));
     config.use_decayed_snapshot = true;
-    // Also exercises the non-default maintenance strategy inside the trainer.
-    config.window_miner = WindowMinerKind::kIncremental;
     auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
     ASSERT_TRUE(trainer.ok()) << trainer.status();
 
