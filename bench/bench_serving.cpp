@@ -11,8 +11,9 @@
 //       dfp.bench.serving.c<k>.{p50_ms,p95_ms,p99_ms,preds_per_s}
 //     plus dfp.bench.serving.index_speedup for the micro-bench.
 //  3. Soak — sustained mixed traffic for --soak-seconds (default 4): 8
-//     connections of single-predict requests (the traced, micro-batched
-//     path) while a control thread hot-reloads the model twice a second.
+//     connections of single-predict requests (the traced path, scored
+//     inline on each connection's thread) while a control thread
+//     hot-reloads the model twice a second.
 //     Soak clients run the production retry policy; shed rate, client retry
 //     rate, failpoint trips (gated to zero — injection must never leak into
 //     the measured path), the engine's trailing-window p99.9, and throughput
@@ -166,6 +167,8 @@ int main(int argc, char** argv) {
     const long soak_seconds = bench::FlagValue(argc, argv, "soak-seconds", 4);
     bench::BeginBenchObservability(threads);
     auto& registry = obs::Registry::Get();
+    registry.GetGauge("dfp.bench.serving.hw_threads")
+        .Set(static_cast<double>(std::thread::hardware_concurrency()));
 
     bench::Section("Serving benchmark: 4000x30 dense corpus");
     const auto db = DenseCorpus(4000, 30, 0.40, 11);
@@ -249,7 +252,6 @@ int main(int argc, char** argv) {
     }
     serve::EngineConfig engine_config;
     engine_config.num_threads = threads;
-    engine_config.max_delay_ms = 0.2;
     serve::ScoringEngine engine(model_registry, engine_config);
     serve::ServerConfig server_config;
     server_config.port = 0;  // ephemeral: benches never collide

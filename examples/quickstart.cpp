@@ -194,9 +194,10 @@ int main(int argc, char** argv) {
 
     // 5. Optional serving smoke path: persist the trained model, publish it
     //    through a ModelRegistry, and score the test split through the
-    //    micro-batched ScoringEngine via an in-process ServeClient. The
-    //    served accuracy must equal the offline LoadedModel accuracy exactly
-    //    — serving is scheduling, never numerics.
+    //    ScoringEngine via an in-process ServeClient (each predict scored
+    //    inline on this thread). The served accuracy must equal the offline
+    //    LoadedModel accuracy exactly — serving is scheduling, never
+    //    numerics.
     if (serve) {
         std::stringstream bundle;
         Status save = SavePipelineModel(pipeline, bundle);

@@ -144,8 +144,7 @@ void AppendEvent(std::ostringstream& out, bool& first, const StageEvent& stage,
                              ? stage.end_us - stage.start_us
                              : 0.0);
     out << ",\"pid\":1,\"tid\":" << stage.tid << ",\"args\":{\"req\":"
-        << trace.id << ",\"batch\":" << trace.batch_size
-        << ",\"outcome\":" << trace.outcome << "}}";
+        << trace.id << ",\"outcome\":" << trace.outcome << "}}";
 }
 
 }  // namespace
@@ -155,19 +154,17 @@ std::string RenderChromeTrace(const std::vector<RequestTrace>& traces) {
     out << "{\"traceEvents\":[";
     bool first = true;
     for (const RequestTrace& trace : traces) {
-        if (trace.dequeue_us > 0.0) {
-            AppendEvent(out, first,
-                        {"queue", trace.submit_us, trace.dequeue_us,
-                         trace.submit_tid},
-                        trace);
-        }
         if (trace.score_start_us > 0.0) {
             AppendEvent(out, first,
-                        {"batch_wait", trace.dequeue_us, trace.score_start_us,
+                        {"admit", trace.submit_us, trace.score_start_us,
+                         trace.submit_tid},
+                        trace);
+            AppendEvent(out, first,
+                        {"match", trace.score_start_us, trace.match_end_us,
                          trace.score_tid},
                         trace);
             AppendEvent(out, first,
-                        {"score", trace.score_start_us, trace.score_end_us,
+                        {"eval", trace.match_end_us, trace.score_end_us,
                          trace.score_tid},
                         trace);
         }
@@ -198,14 +195,14 @@ bool SlowRequestSampler::Sample(const RequestTrace& trace) {
         return end_us > begin_us ? (end_us - begin_us) / 1000.0 : 0.0;
     };
     DFP_LOG_WARN(StrFormat(
-        "slow request #%llu: total %.3fms (queue %.3f, batch_wait %.3f, "
-        "score %.3f, serialize %.3f) batch=%u outcome=%u",
+        "slow request #%llu: total %.3fms (admit %.3f, match %.3f, "
+        "eval %.3f, serialize %.3f) outcome=%u",
         static_cast<unsigned long long>(trace.id), total_ms,
-        stage_ms(trace.submit_us, trace.dequeue_us),
-        stage_ms(trace.dequeue_us, trace.score_start_us),
-        stage_ms(trace.score_start_us, trace.score_end_us),
+        stage_ms(trace.submit_us, trace.score_start_us),
+        stage_ms(trace.score_start_us, trace.match_end_us),
+        stage_ms(trace.match_end_us, trace.score_end_us),
         stage_ms(trace.serialize_start_us, trace.serialize_end_us),
-        unsigned{trace.batch_size}, unsigned{trace.outcome}));
+        unsigned{trace.outcome}));
     return true;
 }
 

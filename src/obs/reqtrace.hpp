@@ -1,10 +1,11 @@
 // Cross-thread request tracing for the serving path.
 //
-// A RequestTrace is a tiny plain struct carried WITH a request across the
-// dispatcher -> batcher -> scoring-worker thread hops: each stage stamps its
-// steady-clock timestamp (microseconds since process start) and the thread
-// that scored it. The thread-local obs::Span tree cannot represent this —
-// its spans are per-thread and a served request crosses at least two threads.
+// A RequestTrace is a tiny plain struct carried WITH a request from the
+// thread that accepted it (a connection handler, the in-process client) to
+// the code that scores and answers it: each stage stamps its steady-clock
+// timestamp (microseconds since process start) and the thread that ran it.
+// The thread-local obs::Span tree is per-thread and nests by scope, while a
+// request trace is one flat record that outlives the call that filled it.
 //
 // Completed traces land in a bounded TraceRing (per-slot seqlock: a writer
 // waits only for another writer that lapped onto the same slot, a reader
@@ -14,17 +15,18 @@
 // thread that executed them.
 //
 // Stage model (all values microseconds since process start, 0 = not reached):
-//   submit ......... Submit() accepted the request onto the queue
-//   dequeue ........ the batcher moved it off the queue into a micro-batch
-//   score_start .... a scoring worker began this request
-//   score_end ...... prediction ready, promise fulfilled
+//   submit ......... ScoringEngine::Predict was called
+//   score_start .... the call passed its admission checks (drain, cancel,
+//                    deadline, model) and began scoring
+//   match_end ...... the pattern match (PatternMatchIndex::EncodeInto) is done
+//   score_end ...... the learner evaluated the encoding; prediction ready
 //   serialize_* .... the dispatcher rendered the response line (only for
 //                    requests that came through RequestDispatcher)
 //
 // Derived stage durations (see engine.cpp):
-//   queue      = dequeue - submit          (admission queue + batch fill wait)
-//   batch_wait = score_start - dequeue     (batch formed -> worker picked it)
-//   score      = score_end - score_start
+//   admit      = score_start - submit      (canonicalize + admission checks)
+//   match      = match_end - score_start
+//   eval       = score_end - match_end
 //   serialize  = serialize_end - serialize_start
 #pragma once
 
@@ -46,12 +48,11 @@ struct RequestTrace {
     std::uint64_t submit_tid = 0;
     std::uint64_t score_tid = 0;
     double submit_us = 0.0;
-    double dequeue_us = 0.0;
     double score_start_us = 0.0;
+    double match_end_us = 0.0;
     double score_end_us = 0.0;
     double serialize_start_us = 0.0;
     double serialize_end_us = 0.0;
-    std::uint32_t batch_size = 0;
     /// StatusCode of the outcome (0 = Ok).
     std::uint16_t outcome = 0;
 
@@ -112,8 +113,8 @@ class TraceRing {
 };
 
 /// Renders traces as a Chrome trace-event JSON document:
-///   {"traceEvents":[{"name":"queue","ph":"X","ts":...,"dur":...,
-///                    "pid":1,"tid":...,"args":{"req":...,"batch":...}},...]}
+///   {"traceEvents":[{"name":"admit","ph":"X","ts":...,"dur":...,
+///                    "pid":1,"tid":...,"args":{"req":...,"outcome":...}},...]}
 /// One complete ("X") event per recorded stage; timestamps/durations are in
 /// microseconds as the format requires. Zero-length stages are kept (dur 0)
 /// so every request shows its full path.

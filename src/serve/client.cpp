@@ -97,15 +97,22 @@ Result<std::string> ServeClient::Exchange(const std::string& line,
     // next call dials a fresh one.
     *transport = reader_->buffered_bytes() > 0 ? Transport::kFailedMidResponse
                                                : Transport::kFailed;
+    Disconnect();
+    return st;
+}
+
+void ServeClient::Disconnect() {
     reader_.reset();
     socket_.reset();
-    return st;
 }
 
 Result<obs::JsonValue> ServeClient::Call(const std::string& line,
                                          Transport* transport) {
     Transport ignored = Transport::kOk;
-    auto response = Exchange(line, transport != nullptr ? transport : &ignored);
+    if (transport == nullptr) transport = &ignored;
+    const std::uint64_t id = ++last_id_;
+    auto response =
+        Exchange("{\"id\":" + std::to_string(id) + "," + line.substr(1), transport);
     if (!response.ok()) return response.status();
     auto parsed = obs::ParseJson(*response);
     if (!parsed.ok()) {
@@ -113,6 +120,21 @@ Result<obs::JsonValue> ServeClient::Call(const std::string& line,
     }
     const obs::JsonValue* ok = parsed->Find("ok");
     if (ok == nullptr) return Status::Internal("response missing \"ok\"");
+    // The reply must echo this request's id. Only an error reply may lack
+    // one: the server answers a line it could not parse, an oversized line
+    // or a shed connection without an id, and such a reply has no label.
+    const obs::JsonValue* reply_id = parsed->Find("id");
+    const bool own_reply =
+        reply_id != nullptr
+            ? reply_id->is_number() && reply_id->number() == static_cast<double>(id)
+            : !ok->boolean();
+    if (!own_reply) {
+        obs::Registry::Get().GetCounter("dfp.serve.client.stale_replies").Inc();
+        Disconnect();
+        *transport = Transport::kFailed;
+        return Status::Unavailable("reply does not carry request id " +
+                                   std::to_string(id) + ": " + *response);
+    }
     if (!ok->boolean()) return StatusFromErrorResponse(*parsed);
     return parsed;
 }

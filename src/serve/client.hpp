@@ -17,6 +17,13 @@
 // fresh one, so a late reply to a failed request is never read as the answer
 // to the next.
 //
+// Every request carries a per-client "id" that the server echoes. A reply
+// whose id differs from the request's (or a success reply without one) is
+// someone else's answer: the client counts it in
+// dfp.serve.client.stale_replies, drops the connection and fails the call
+// as a transport failure before any byte of its own reply arrived, so its
+// label is never returned.
+//
 // Not thread-safe; use one client per thread (connections are cheap).
 #pragma once
 
@@ -79,7 +86,8 @@ class ServeClient {
     /// Chrome trace-event document of the server's recent request traces.
     Result<obs::JsonValue> TraceDump();
 
-    /// Raw line round-trip (the protocol golden tests use this directly).
+    /// Raw line round-trip (the protocol golden tests use this directly). The
+    /// line is sent as is: no id is added or checked.
     Result<std::string> RoundTrip(const std::string& line);
 
   private:
@@ -105,7 +113,8 @@ class ServeClient {
     /// dropped the connection; drops it again on any transport failure.
     Result<std::string> Exchange(const std::string& line, Transport* transport);
 
-    /// Exchange + parse + "ok" check; protocol errors come back as the
+    /// Tags `line` (a JSON object) with the next request id, then Exchange +
+    /// parse + id check + "ok" check; protocol errors come back as the
     /// Status carried in the error response. One attempt, no retries;
     /// `*transport` (optional) says whether and where the socket layer failed.
     Result<obs::JsonValue> Call(const std::string& line,
@@ -117,6 +126,9 @@ class ServeClient {
     /// Dials a fresh TCP connection (no-op in-process).
     Status Reconnect();
 
+    /// Drops the TCP connection; the next call re-dials.
+    void Disconnect();
+
     RequestDispatcher* dispatcher_ = nullptr;
     std::unique_ptr<Socket> socket_;
     std::unique_ptr<LineReader> reader_;
@@ -124,6 +136,7 @@ class ServeClient {
     std::uint16_t port_ = 0;
     RetryPolicy retry_;
     Rng jitter_;
+    std::uint64_t last_id_ = 0;  ///< id of the latest request sent
 };
 
 }  // namespace dfp::serve

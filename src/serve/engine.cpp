@@ -4,24 +4,25 @@
 #include <chrono>
 #include <exception>
 #include <new>
+#include <thread>
 
 #include "common/failpoint.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace dfp::serve {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Scores one transaction against the snapshot, converting anything thrown
 /// into a Status: scoring one poisoned request must fail that request alone,
-/// never take down the batch, the worker thread, or the process. The
-/// `serve.engine.score` failpoint injects exactly those escapes.
+/// never the caller's thread or the process. The `serve.engine.score`
+/// failpoint injects exactly those escapes (and, as a delay, holds a call in
+/// flight). `trace`, when non-null, gets match_end_us stamped between the
+/// pattern match and the learner.
 Result<Prediction> ScoreOne(const ServableModel& servable,
                             const std::vector<ItemId>& items,
-                            PatternMatchIndex::Scratch* scratch) {
+                            PatternMatchIndex::Scratch* scratch,
+                            obs::RequestTrace* trace = nullptr) {
     try {
         if (const auto fp = DFP_FAILPOINT("serve.engine.score"); fp) {
             fp.Sleep();
@@ -35,6 +36,7 @@ Result<Prediction> ScoreOne(const ServableModel& servable,
             }
         }
         servable.index.EncodeInto(items, scratch);
+        if (trace != nullptr) trace->match_end_us = obs::NowMicros();
         return Prediction{servable.model.learner().Predict(scratch->encoded),
                           servable.version};
     } catch (const std::bad_alloc&) {
@@ -42,14 +44,6 @@ Result<Prediction> ScoreOne(const ServableModel& servable,
     } catch (const std::exception& e) {
         return Status::Internal(std::string("scoring failed: ") + e.what());
     }
-}
-
-/// Serve latencies live at tens of microseconds; the decade-style defaults
-/// (and the old 0.05 ms floor) collapsed the whole distribution into the
-/// first bucket or two. These bounds resolve 5 µs .. 1 s.
-std::vector<double> LatencyBoundsMs() {
-    return {0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,   1.0,   2.5,
-            5.0,   10.0, 25.0,  50.0, 100.0, 250.0, 1000.0};
 }
 
 /// HDR geometry for serve latencies: 1 µs .. 60 s in milliseconds, 64
@@ -65,10 +59,6 @@ obs::HdrConfig ServeHdrConfig() {
 
 double StageMs(double begin_us, double end_us) {
     return end_us > begin_us ? (end_us - begin_us) / 1000.0 : 0.0;
-}
-
-std::vector<double> BatchSizeBounds() {
-    return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0};
 }
 
 void Canonicalize(std::vector<ItemId>* items) {
@@ -91,73 +81,93 @@ ScoringEngine::ScoringEngine(ModelRegistry& registry, EngineConfig config)
     const std::size_t epochs = std::max<std::size_t>(2, config_.telemetry.window_epochs);
     const double epoch_s = std::max(0.05, config_.telemetry.window_epoch_seconds);
     win_total_ = &reg.GetWindowedHdr("dfp.serve.latency.total", hdr, epochs, epoch_s);
-    win_queue_ = &reg.GetWindowedHdr("dfp.serve.latency.queue", hdr, epochs, epoch_s);
-    win_batch_wait_ =
-        &reg.GetWindowedHdr("dfp.serve.latency.batch_wait", hdr, epochs, epoch_s);
-    win_score_ = &reg.GetWindowedHdr("dfp.serve.latency.score", hdr, epochs, epoch_s);
+    win_admit_ = &reg.GetWindowedHdr("dfp.serve.latency.admit", hdr, epochs, epoch_s);
+    win_match_ = &reg.GetWindowedHdr("dfp.serve.latency.match", hdr, epochs, epoch_s);
+    win_eval_ = &reg.GetWindowedHdr("dfp.serve.latency.eval", hdr, epochs, epoch_s);
     win_serialize_ =
         &reg.GetWindowedHdr("dfp.serve.latency.serialize", hdr, epochs, epoch_s);
 
-    if (config_.telemetry.background_flush && !config_.manual_pump) {
+    if (config_.telemetry.background_flush) {
         flusher_ = std::make_unique<obs::WindowFlusher>(
-            std::vector<obs::WindowedHdrHistogram*>{win_total_, win_queue_,
-                                                    win_batch_wait_, win_score_,
-                                                    win_serialize_},
+            std::vector<obs::WindowedHdrHistogram*>{win_total_, win_admit_, win_match_,
+                                                    win_eval_, win_serialize_},
             /*period_seconds=*/epoch_s / 4.0);
-    }
-
-    if (!config_.manual_pump) {
-        batcher_ = std::thread([this] { BatcherLoop(); });
     }
 }
 
 ScoringEngine::~ScoringEngine() { Stop(); }
 
-std::future<Result<Prediction>> ScoringEngine::Submit(std::vector<ItemId> items,
-                                                      double deadline_ms,
-                                                      CancelToken* cancel,
-                                                      obs::RequestTrace* trace) {
+Result<Prediction> ScoringEngine::Predict(std::vector<ItemId> items,
+                                          double deadline_ms,
+                                          CancelToken* cancel,
+                                          obs::RequestTrace* trace) {
     auto& registry = obs::Registry::Get();
     registry.GetCounter("dfp.serve.requests").Inc();
-    if (deadline_ms < 0.0) deadline_ms = config_.default_deadline_ms;
-
-    PendingRequest request{std::move(items), DeadlineTimer(deadline_ms), cancel,
-                           std::promise<Result<Prediction>>{}, Clock::now(),
-                           trace, obs::RequestTrace{}};
-    obs::RequestTrace* t = request.trace_target();
+    const DeadlineTimer deadline(deadline_ms < 0.0 ? config_.default_deadline_ms
+                                                   : deadline_ms);
+    obs::RequestTrace internal;
+    obs::RequestTrace* t = trace != nullptr ? trace : &internal;
     if (t->id == 0) t->id = obs::RequestTrace::NextId();
     t->submit_tid = obs::CompressedThreadId();
     t->submit_us = obs::NowMicros();
-    Canonicalize(&request.items);
-    std::future<Result<Prediction>> future = request.promise.get_future();
+    Canonicalize(&items);
+
+    bool admitted = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        const bool shed =
-            stopping_ || queue_.size() >= config_.queue_capacity;
-        if (shed) {
-            registry.GetCounter("dfp.serve.shed").Inc();
-            t->outcome = static_cast<std::uint16_t>(StatusCode::kUnavailable);
-            // Internal traces are committed now; an external trace belongs
-            // to the caller, who commits after stamping serialize times.
-            if (request.external_trace == nullptr) CommitTrace(request.trace);
-            request.promise.set_value(Status::Unavailable(
-                stopping_ ? "scoring engine is draining"
-                          : "admission queue full (" +
-                                std::to_string(config_.queue_capacity) +
-                                " pending)"));
-            return future;
-        }
-        queue_.push_back(std::move(request));
-        registry.GetGauge("dfp.serve.queue_depth")
-            .Set(static_cast<double>(queue_.size()));
+        admitted = !stopping_;
+        if (admitted) ++in_flight_;
     }
-    cv_.notify_one();
-    return future;
+    Result<Prediction> result =
+        admitted ? Score(items, deadline, cancel, t)
+                 : Result<Prediction>(Status::Unavailable("scoring engine is draining"));
+    if (admitted) {
+        std::lock_guard<std::mutex> lock(mu_);
+        --in_flight_;
+    } else {
+        registry.GetCounter("dfp.serve.shed").Inc();
+    }
+    t->outcome = static_cast<std::uint16_t>(result.status().code());
+    // A caller's trace is committed by the caller, after it stamps its
+    // serialize times.
+    if (trace == nullptr) CommitTrace(internal);
+    return result;
 }
 
-Result<Prediction> ScoringEngine::Predict(std::vector<ItemId> items,
-                                          double deadline_ms) {
-    return Submit(std::move(items), deadline_ms).get();
+Result<Prediction> ScoringEngine::Score(const std::vector<ItemId>& items,
+                                        const DeadlineTimer& deadline,
+                                        CancelToken* cancel,
+                                        obs::RequestTrace* trace) {
+    auto& registry = obs::Registry::Get();
+    if (cancel != nullptr && cancel->Poll()) {
+        registry.GetCounter("dfp.serve.cancelled").Inc();
+        return Status::Cancelled("request cancelled");
+    }
+    if (deadline.expired()) {
+        registry.GetCounter("dfp.serve.deadline_expired").Inc();
+        return Status::Cancelled("deadline expired before scoring");
+    }
+    const ServablePtr snapshot = registry_.Snapshot();
+    if (snapshot == nullptr) {
+        registry.GetCounter("dfp.serve.no_model").Inc();
+        return Status::FailedPrecondition("no model installed");
+    }
+    // One scratch per calling thread, reused across calls: EncodeInto
+    // re-sizes it when a reload changes the model's shape.
+    thread_local PatternMatchIndex::Scratch scratch;
+    trace->score_tid = obs::CompressedThreadId();
+    trace->score_start_us = obs::NowMicros();
+    Result<Prediction> result = ScoreOne(*snapshot, items, &scratch, trace);
+    trace->score_end_us = obs::NowMicros();
+    // A call that failed inside the match spent its whole score in match.
+    if (trace->match_end_us == 0.0) trace->match_end_us = trace->score_end_us;
+    if (result.ok()) {
+        registry.GetCounter("dfp.serve.predictions").Inc();
+    } else {
+        registry.GetCounter("dfp.serve.score_errors").Inc();
+    }
+    RecordStageLatencies(*trace);
+    return result;
 }
 
 Result<std::vector<Prediction>> ScoringEngine::PredictBatch(
@@ -197,10 +207,15 @@ void ScoringEngine::Stop() {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
     }
-    cv_.notify_all();
-    if (batcher_.joinable()) batcher_.join();
-    // manual_pump mode (or anything left behind): drain inline.
-    while (PumpOnce() > 0) {
+    // Drain: wait for the admitted calls to return. Each is one scoring pass
+    // of a few microseconds, and Stop() is a shutdown path, so a short poll
+    // keeps the per-call path free of any wake-up signalling.
+    for (;;) {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (in_flight_ == 0) break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     if (flusher_ != nullptr) flusher_->Stop();
 }
@@ -208,126 +223,6 @@ void ScoringEngine::Stop() {
 bool ScoringEngine::stopped() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stopping_;
-}
-
-std::size_t ScoringEngine::queue_depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-}
-
-std::size_t ScoringEngine::PumpOnce() { return ProcessBatch(TakeBatch()); }
-
-void ScoringEngine::BatcherLoop() {
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty()) return;  // stopping_ and fully drained
-            // Micro-batch policy: once something is pending, wait up to
-            // max_delay_ms (from the oldest request's arrival) for the batch
-            // to fill — unless we're draining, in which case dispatch now.
-            if (!stopping_ && config_.max_delay_ms > 0.0 &&
-                queue_.size() < config_.max_batch) {
-                const auto fill_deadline =
-                    queue_.front().enqueued +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            config_.max_delay_ms));
-                cv_.wait_until(lock, fill_deadline, [this] {
-                    return stopping_ || queue_.size() >= config_.max_batch;
-                });
-            }
-        }
-        ProcessBatch(TakeBatch());
-    }
-}
-
-std::vector<ScoringEngine::PendingRequest> ScoringEngine::TakeBatch() {
-    std::vector<PendingRequest> batch;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const std::size_t take = std::min(queue_.size(), config_.max_batch);
-        batch.reserve(take);
-        for (std::size_t i = 0; i < take; ++i) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-        }
-        obs::Registry::Get().GetGauge("dfp.serve.queue_depth")
-            .Set(static_cast<double>(queue_.size()));
-    }
-    const double now_us = obs::NowMicros();
-    for (PendingRequest& request : batch) {
-        obs::RequestTrace* t = request.trace_target();
-        t->dequeue_us = now_us;
-        t->batch_size = static_cast<std::uint32_t>(batch.size());
-    }
-    return batch;
-}
-
-std::size_t ScoringEngine::ProcessBatch(std::vector<PendingRequest> batch) {
-    if (batch.empty()) return 0;
-    obs::Span span("serve.batch");
-    auto& registry = obs::Registry::Get();
-    registry.GetCounter("dfp.serve.batches").Inc();
-    registry.GetHistogram("dfp.serve.batch_size", BatchSizeBounds())
-        .Observe(static_cast<double>(batch.size()));
-    span.Annotate("requests", static_cast<double>(batch.size()));
-
-    const ServablePtr snapshot = registry_.Snapshot();
-    ParallelFor(
-        pool_.get(), batch.size(),
-        [&](std::size_t begin, std::size_t end) {
-            ScoreRange(snapshot, batch, begin, end);
-        },
-        /*min_grain=*/4);
-    // Per-request latency now flows through RecordStageLatencies (ScoreRange),
-    // sourced from the trace timestamps rather than a separate clock read.
-    return batch.size();
-}
-
-void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
-                               std::vector<PendingRequest>& batch,
-                               std::size_t begin, std::size_t end) {
-    auto& registry = obs::Registry::Get();
-    PatternMatchIndex::Scratch scratch;
-    std::size_t scored = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-        PendingRequest& request = batch[i];
-        obs::RequestTrace* t = request.trace_target();
-        t->score_tid = obs::CompressedThreadId();
-        t->score_start_us = obs::NowMicros();
-
-        Result<Prediction> result = Prediction{};
-        if (request.cancel != nullptr && request.cancel->Poll()) {
-            registry.GetCounter("dfp.serve.cancelled").Inc();
-            result = Status::Cancelled("request cancelled");
-        } else if (request.deadline.expired()) {
-            registry.GetCounter("dfp.serve.deadline_expired").Inc();
-            result = Status::Cancelled("deadline expired before scoring");
-        } else if (snapshot == nullptr) {
-            registry.GetCounter("dfp.serve.no_model").Inc();
-            result = Status::FailedPrecondition("no model installed");
-        } else {
-            result = ScoreOne(*snapshot, request.items, &scratch);
-            if (result.ok()) {
-                ++scored;
-            } else {
-                registry.GetCounter("dfp.serve.score_errors").Inc();
-            }
-        }
-        t->score_end_us = obs::NowMicros();
-        t->outcome = static_cast<std::uint16_t>(result.status().code());
-
-        // Lifetime rule: a dispatcher-owned (external) trace must not be
-        // touched once the promise is fulfilled — the dispatcher wakes on the
-        // future and immediately keeps stamping it. Copy first, publish
-        // second, record from the copy.
-        const obs::RequestTrace done = *t;
-        request.promise.set_value(std::move(result));
-        RecordStageLatencies(done);
-        if (request.external_trace == nullptr) CommitTrace(done);
-    }
-    if (scored > 0) registry.GetCounter("dfp.serve.predictions").Inc(scored);
 }
 
 void ScoringEngine::CommitTrace(const obs::RequestTrace& trace) {
@@ -339,14 +234,10 @@ void ScoringEngine::CommitTrace(const obs::RequestTrace& trace) {
 }
 
 void ScoringEngine::RecordStageLatencies(const obs::RequestTrace& trace) {
-    win_queue_->Record(StageMs(trace.submit_us, trace.dequeue_us));
-    win_batch_wait_->Record(StageMs(trace.dequeue_us, trace.score_start_us));
-    win_score_->Record(StageMs(trace.score_start_us, trace.score_end_us));
-    const double total_ms = StageMs(trace.submit_us, trace.score_end_us);
-    win_total_->Record(total_ms);
-    obs::Registry::Get()
-        .GetHistogram("dfp.serve.latency_ms", LatencyBoundsMs())
-        .Observe(total_ms);
+    win_admit_->Record(StageMs(trace.submit_us, trace.score_start_us));
+    win_match_->Record(StageMs(trace.score_start_us, trace.match_end_us));
+    win_eval_->Record(StageMs(trace.match_end_us, trace.score_end_us));
+    win_total_->Record(StageMs(trace.submit_us, trace.score_end_us));
 }
 
 }  // namespace dfp::serve

@@ -1,35 +1,30 @@
-// Micro-batched scoring engine with admission control.
+// Scoring engine: answers each predict inline on the calling thread.
 //
-// The serving front-end (TCP handlers, the in-process client) submits single
-// transactions; the engine coalesces whatever is concurrently pending into
-// micro-batches (up to max_batch requests, waiting at most max_delay_ms for
-// stragglers) and fans each batch out over the work-stealing ThreadPool.
-// Batching amortizes queue/wake overhead; the per-request unit of work stays
-// one inverted-index match plus one learner evaluation, so results are
-// independent of batch composition — predictions are bit-identical to
-// LoadedModel::Predict at every batch size and thread count.
+// A predict is one inverted-index match plus one learner evaluation, a few
+// microseconds of work, so the engine scores it on the thread that asked
+// (a TCP connection handler, the in-process client, a test) instead of
+// handing it to another thread. Concurrency is the number of callers; over
+// TCP, ServerConfig::max_connections bounds it. Predictions are
+// bit-identical to LoadedModel::Predict whatever the number of concurrent
+// callers or PredictBatch threads.
 //
-// Admission control (DESIGN.md §13):
-//  * Bounded queue. Submit() on a full queue sheds immediately with
-//    kUnavailable (counted in dfp.serve.shed) instead of building an
-//    unbounded backlog — the client's cue to back off.
+// Admission (DESIGN.md §13):
 //  * Per-request deadlines reuse the budget primitives (DeadlineTimer
-//    anchored at submit, optional CancelToken): a request whose deadline
-//    passed while queued is answered kCancelled without being scored.
-//  * Graceful drain. Stop() refuses new work (kUnavailable) but scores
-//    everything already admitted before returning — an accepted request is
-//    never dropped.
+//    anchored when Predict is called, optional CancelToken): a request whose
+//    deadline has passed or whose token fired is answered kCancelled without
+//    being scored.
+//  * Graceful drain. Stop() refuses new calls with kUnavailable (counted in
+//    dfp.serve.shed) and returns only once every call already in flight has
+//    returned, so an accepted request is never dropped.
 //
-// Every stage publishes dfp.serve.* metrics; batch scoring runs under a
-// "serve.batch" trace span.
+// PredictBatch fans a whole batch out over the work-stealing ThreadPool
+// (num_threads). Every call publishes dfp.serve.* metrics and a RequestTrace
+// (DESIGN.md §14).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
+#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/budget.hpp"
@@ -54,27 +49,17 @@ struct TelemetryConfig {
     /// `window_epoch_seconds` (defaults: 10 s trailing window).
     std::size_t window_epochs = 8;
     double window_epoch_seconds = 1.25;
-    /// Spawn the background window flusher. Disabled automatically in
-    /// manual_pump mode; tests rotate by hand for determinism.
+    /// Spawn the background window flusher that rotates the windows on
+    /// time. Tests that count window samples turn it off for determinism.
     bool background_flush = true;
 };
 
 struct EngineConfig {
-    /// Largest micro-batch handed to the pool in one go.
-    std::size_t max_batch = 64;
-    /// How long a non-full batch waits for stragglers once the first request
-    /// is pending. 0 = dispatch immediately.
-    double max_delay_ms = 0.5;
-    /// Admission bound: Submit() sheds with kUnavailable beyond this.
-    std::size_t queue_capacity = 1024;
-    /// Scoring workers (0 = hardware_concurrency, 1 = score on the batcher
-    /// thread — the serial path).
+    /// PredictBatch workers (0 = hardware_concurrency, 1 = score the batch on
+    /// the calling thread). Single predicts always score on the caller.
     std::size_t num_threads = 1;
     /// Deadline applied to requests that don't carry their own (< 0 = none).
     double default_deadline_ms = -1.0;
-    /// Test seam: no batcher thread is spawned; tests call PumpOnce() to
-    /// process one micro-batch deterministically.
-    bool manual_pump = false;
     TelemetryConfig telemetry;
 };
 
@@ -92,44 +77,33 @@ class ScoringEngine {
     /// Stops and drains (see Stop()).
     ~ScoringEngine();
 
-    /// Enqueues one transaction for micro-batched scoring. `items` need not
-    /// be sorted — the engine canonicalizes (sort + dedup). The future is
-    /// always eventually satisfied: with a Prediction, or with kUnavailable
-    /// (shed / stopped), kCancelled (deadline or token), or
-    /// kFailedPrecondition (no model installed).
+    /// Scores one transaction on the calling thread. `items` need not be
+    /// sorted — the engine canonicalizes (sort + dedup). Then, in order:
+    /// kUnavailable once Stop() has begun, kCancelled when `cancel` fired or
+    /// the deadline passed (`deadline_ms` < 0 = the configured default),
+    /// kFailedPrecondition with no model installed; otherwise the prediction
+    /// of the current model snapshot.
     ///
-    /// `trace`, when non-null, is stamped across the request's thread hops
-    /// (submit/dequeue/score). It must stay alive until the future is ready
-    /// (the dispatcher keeps it on its stack while blocked on get()); the
-    /// engine stops touching it strictly before fulfilling the promise. A
-    /// caller passing a trace owns committing it (CommitTrace) after adding
-    /// its serialize timestamps; requests submitted without one are traced
-    /// and committed internally.
-    std::future<Result<Prediction>> Submit(std::vector<ItemId> items,
-                                           double deadline_ms = -1.0,
-                                           CancelToken* cancel = nullptr,
-                                           obs::RequestTrace* trace = nullptr);
-
-    /// Submit + wait. Do not call in manual_pump mode (nothing would pump).
+    /// `trace`, when non-null, is stamped with the submit/score/match stages
+    /// and left to the caller to commit (CommitTrace) after it adds its
+    /// serialize timestamps; calls without one are traced and committed
+    /// internally.
     Result<Prediction> Predict(std::vector<ItemId> items,
-                               double deadline_ms = -1.0);
+                               double deadline_ms = -1.0,
+                               CancelToken* cancel = nullptr,
+                               obs::RequestTrace* trace = nullptr);
 
-    /// Scores a whole batch directly against the current snapshot, bypassing
-    /// the admission queue (the predict_batch protocol op and offline eval).
+    /// Scores a whole batch against one snapshot, fanned out over the
+    /// num_threads pool (the predict_batch protocol op and offline eval).
     Result<std::vector<Prediction>> PredictBatch(
         std::vector<std::vector<ItemId>> batch) const;
 
-    /// Graceful drain: new Submits are refused with kUnavailable, every
-    /// already-queued request is scored, then the batcher joins. Idempotent.
+    /// Graceful drain: new Predict calls are refused with kUnavailable, and
+    /// Stop() returns once every call already in flight has returned.
+    /// Idempotent.
     void Stop();
 
     bool stopped() const;
-    /// Current queue depth (tests / stats).
-    std::size_t queue_depth() const;
-
-    /// manual_pump mode: processes at most one micro-batch on the calling
-    /// thread; returns the number of requests handled.
-    std::size_t PumpOnce();
 
     const EngineConfig& config() const { return config_; }
 
@@ -143,56 +117,33 @@ class ScoringEngine {
     void CommitTrace(const obs::RequestTrace& trace);
 
   private:
-    struct PendingRequest {
-        std::vector<ItemId> items;
-        DeadlineTimer deadline;
-        CancelToken* cancel = nullptr;
-        std::promise<Result<Prediction>> promise;
-        std::chrono::steady_clock::time_point enqueued;
-        /// Dispatcher-owned trace (engine must not touch it after the
-        /// promise is fulfilled), or null to use `trace` below.
-        obs::RequestTrace* external_trace = nullptr;
-        obs::RequestTrace trace;
+    /// The checks and scoring of Predict, once the call is admitted.
+    Result<Prediction> Score(const std::vector<ItemId>& items,
+                             const DeadlineTimer& deadline, CancelToken* cancel,
+                             obs::RequestTrace* trace);
 
-        obs::RequestTrace* trace_target() {
-            return external_trace != nullptr ? external_trace : &trace;
-        }
-    };
-
-    void BatcherLoop();
-    /// Takes up to max_batch requests off the queue (call with mu_ held is
-    /// NOT required; it locks internally). Returns an empty vector when the
-    /// queue was empty.
-    std::vector<PendingRequest> TakeBatch();
-    std::size_t ProcessBatch(std::vector<PendingRequest> batch);
-    void ScoreRange(const ServablePtr& snapshot,
-                    std::vector<PendingRequest>& batch, std::size_t begin,
-                    std::size_t end);
-
-    /// Records one request's stage durations into the windowed latency
-    /// histograms and the fixed-bucket total-latency histogram.
+    /// Records one scored request's stage durations into the windowed
+    /// latency histograms.
     void RecordStageLatencies(const obs::RequestTrace& trace);
 
     ModelRegistry& registry_;
     EngineConfig config_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when scoring runs serial
+    std::unique_ptr<ThreadPool> pool_;  ///< PredictBatch workers; null = serial
 
     // Telemetry. The windowed histograms are registry-owned (immortal);
     // the engine only resolves them once and drives rotation.
     obs::TraceRing trace_ring_;
     obs::SlowRequestSampler slow_sampler_;
     obs::WindowedHdrHistogram* win_total_ = nullptr;
-    obs::WindowedHdrHistogram* win_queue_ = nullptr;
-    obs::WindowedHdrHistogram* win_batch_wait_ = nullptr;
-    obs::WindowedHdrHistogram* win_score_ = nullptr;
+    obs::WindowedHdrHistogram* win_admit_ = nullptr;
+    obs::WindowedHdrHistogram* win_match_ = nullptr;
+    obs::WindowedHdrHistogram* win_eval_ = nullptr;
     obs::WindowedHdrHistogram* win_serialize_ = nullptr;
     std::unique_ptr<obs::WindowFlusher> flusher_;
 
     mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<PendingRequest> queue_;
     bool stopping_ = false;
-    std::thread batcher_;
+    std::size_t in_flight_ = 0;  ///< admitted Predict calls not yet returned
 };
 
 }  // namespace dfp::serve

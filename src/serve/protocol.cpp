@@ -38,77 +38,82 @@ void AppendIdField(std::ostringstream& out, const ServeRequest& request) {
 
 }  // namespace
 
-Result<ServeRequest> ParseServeRequest(std::string_view line) {
+Status ParseServeRequest(std::string_view line, ServeRequest* request) {
     auto parsed = obs::ParseJson(line);
     if (!parsed.ok()) return parsed.status();
     if (!parsed->is_object()) {
         return Status::InvalidArgument("request must be a JSON object");
     }
-    const obs::JsonValue* op = parsed->Find("op");
-    if (op == nullptr || !op->is_string()) {
-        return Status::InvalidArgument("request needs a string \"op\"");
-    }
-
-    ServeRequest request;
     if (const obs::JsonValue* id = parsed->Find("id"); id != nullptr) {
         if (!id->is_number() || id->number() < 0.0 ||
             id->number() != std::floor(id->number())) {
             return Status::InvalidArgument("\"id\" must be a non-negative integer");
         }
-        request.id = static_cast<std::uint64_t>(id->number());
-        request.has_id = true;
+        request->id = static_cast<std::uint64_t>(id->number());
+        request->has_id = true;
+    }
+    const obs::JsonValue* op = parsed->Find("op");
+    if (op == nullptr || !op->is_string()) {
+        return Status::InvalidArgument("request needs a string \"op\"");
     }
     if (const obs::JsonValue* dl = parsed->Find("deadline_ms"); dl != nullptr) {
         if (!dl->is_number()) {
             return Status::InvalidArgument("\"deadline_ms\" must be a number");
         }
-        request.deadline_ms = dl->number();
+        request->deadline_ms = dl->number();
     }
 
     const std::string& name = op->string();
     if (name == "predict") {
-        request.op = ServeOp::kPredict;
+        request->op = ServeOp::kPredict;
         const obs::JsonValue* items = parsed->Find("items");
         if (items == nullptr) {
             return Status::InvalidArgument("predict needs \"items\"");
         }
         auto txn = ParseItems(*items, "\"items\"");
         if (!txn.ok()) return txn.status();
-        request.batch.push_back(std::move(*txn));
+        request->batch.push_back(std::move(*txn));
     } else if (name == "predict_batch") {
-        request.op = ServeOp::kPredictBatch;
+        request->op = ServeOp::kPredictBatch;
         const obs::JsonValue* batch = parsed->Find("batch");
         if (batch == nullptr || !batch->is_array()) {
             return Status::InvalidArgument(
                 "predict_batch needs a \"batch\" array of transactions");
         }
-        request.batch.reserve(batch->array().size());
+        request->batch.reserve(batch->array().size());
         for (const obs::JsonValue& txn_json : batch->array()) {
             auto txn = ParseItems(txn_json, "batch entry");
             if (!txn.ok()) return txn.status();
-            request.batch.push_back(std::move(*txn));
+            request->batch.push_back(std::move(*txn));
         }
     } else if (name == "stats") {
-        request.op = ServeOp::kStats;
+        request->op = ServeOp::kStats;
     } else if (name == "reload") {
-        request.op = ServeOp::kReload;
+        request->op = ServeOp::kReload;
         if (const obs::JsonValue* path = parsed->Find("path"); path != nullptr) {
             if (!path->is_string()) {
                 return Status::InvalidArgument("\"path\" must be a string");
             }
-            request.path = path->string();
+            request->path = path->string();
         }
     } else if (name == "health") {
-        request.op = ServeOp::kHealth;
+        request->op = ServeOp::kHealth;
     } else if (name == "ready") {
-        request.op = ServeOp::kReady;
+        request->op = ServeOp::kReady;
     } else if (name == "metrics") {
-        request.op = ServeOp::kMetrics;
+        request->op = ServeOp::kMetrics;
     } else if (name == "trace_dump") {
-        request.op = ServeOp::kTraceDump;
+        request->op = ServeOp::kTraceDump;
     } else {
         return Status::InvalidArgument("unknown op '" + name + "'");
     }
+    return Status::Ok();
+}
+
+Result<ServeRequest> ParseServeRequest(std::string_view line) {
+    ServeRequest request;
+    const Status st = ParseServeRequest(line, &request);
+    if (!st.ok()) return st;
     return request;
 }
 

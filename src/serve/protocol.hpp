@@ -25,8 +25,10 @@
 //        (Chrome trace-event JSON, loadable in chrome://tracing)
 //
 // Requests may carry an "id" (non-negative integer) echoed back in the
-// response for client-side correlation. Every error is
-//   {"ok":false,"error":"<StatusCode name>","message":"..."}
+// response, errors included, for client-side correlation (ServeClient tags
+// every request and rejects a reply carrying another id). Every error is
+//   {"ok":false,"error":"<StatusCode name>","message":"...","id":...}
+// where the id is present when the request line carried a readable one.
 // with kUnavailable reserved for load shedding / drain (back off and retry).
 #pragma once
 
@@ -67,6 +69,9 @@ struct ServeRequest {
 
 /// Parses one request line. InvalidArgument/ParseError on malformed input.
 Result<ServeRequest> ParseServeRequest(std::string_view line);
+/// The same, filling `*request` as far as parsing got: a request rejected
+/// after its "id" was read keeps the id, so its error response echoes it.
+Status ParseServeRequest(std::string_view line, ServeRequest* request);
 
 /// Response renderers. All return a single line WITHOUT the trailing '\n'.
 std::string RenderPredictResponse(const ServeRequest& request,

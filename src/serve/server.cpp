@@ -22,12 +22,12 @@ double MsSince(Clock::time_point start) {
 }  // namespace
 
 std::string RequestDispatcher::HandleLine(std::string_view line) {
-    auto parsed = ParseServeRequest(line);
+    ServeRequest request;
+    const Status parsed = ParseServeRequest(line, &request);
     if (!parsed.ok()) {
         obs::Registry::Get().GetCounter("dfp.serve.protocol_errors").Inc();
-        return RenderErrorResponse(nullptr, parsed.status());
+        return RenderErrorResponse(&request, parsed);
     }
-    const ServeRequest& request = *parsed;
     switch (request.op) {
         case ServeOp::kPredict:
             return HandlePredict(request);
@@ -57,15 +57,11 @@ std::string RequestDispatcher::HandleLine(std::string_view line) {
 }
 
 std::string RequestDispatcher::HandlePredict(const ServeRequest& request) {
-    // The trace lives on this stack frame across the engine's thread hops;
-    // Submit's contract guarantees the engine stops writing it strictly
-    // before the future becomes ready.
+    // The engine stamps the submit/score stages on this thread; the
+    // dispatcher adds serialize and commits the trace.
     obs::RequestTrace trace;
-    Result<Prediction> prediction =
-        engine_
-            .Submit(request.batch.front(), request.deadline_ms,
-                    /*cancel=*/nullptr, &trace)
-            .get();
+    Result<Prediction> prediction = engine_.Predict(
+        request.batch.front(), request.deadline_ms, /*cancel=*/nullptr, &trace);
     std::string response;
     trace.serialize_start_us = obs::NowMicros();
     if (prediction.ok()) {

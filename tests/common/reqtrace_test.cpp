@@ -21,12 +21,11 @@ RequestTrace MakeTrace(std::uint64_t id, double base_us) {
     trace.submit_tid = 1;
     trace.score_tid = 2;
     trace.submit_us = base_us;
-    trace.dequeue_us = base_us + 10;
     trace.score_start_us = base_us + 15;
+    trace.match_end_us = base_us + 30;
     trace.score_end_us = base_us + 40;
     trace.serialize_start_us = base_us + 42;
     trace.serialize_end_us = base_us + 45;
-    trace.batch_size = 4;
     return trace;
 }
 
@@ -83,7 +82,7 @@ TEST(TraceRingTest, ConcurrentPushersNeverProduceTornDumps) {
                 trace.id = id;
                 trace.submit_us = static_cast<double>(id);
                 trace.score_end_us = static_cast<double>(id);
-                trace.batch_size = static_cast<std::uint32_t>(id % 97);
+                trace.outcome = static_cast<std::uint16_t>(id % 97);
                 ring.Push(trace);
             }
         });
@@ -92,8 +91,8 @@ TEST(TraceRingTest, ConcurrentPushersNeverProduceTornDumps) {
         for (const RequestTrace& trace : ring.Dump()) {
             EXPECT_EQ(trace.submit_us, static_cast<double>(trace.id));
             EXPECT_EQ(trace.score_end_us, static_cast<double>(trace.id));
-            EXPECT_EQ(trace.batch_size,
-                      static_cast<std::uint32_t>(trace.id % 97));
+            EXPECT_EQ(trace.outcome,
+                      static_cast<std::uint16_t>(trace.id % 97));
         }
     }
     stop.store(true);
@@ -108,25 +107,24 @@ RequestTrace StampedTrace(std::uint64_t id) {
     trace.submit_tid = id;
     trace.score_tid = id + 1;
     trace.submit_us = base;
-    trace.dequeue_us = base + 1.0;
-    trace.score_start_us = base + 2.0;
+    trace.score_start_us = base + 1.0;
+    trace.match_end_us = base + 2.0;
     trace.score_end_us = base + 3.0;
     trace.serialize_start_us = base + 4.0;
     trace.serialize_end_us = base + 5.0;
-    trace.batch_size = static_cast<std::uint32_t>(id % 1009);
-    trace.outcome = static_cast<std::uint16_t>(id % 7);
+    trace.outcome = static_cast<std::uint16_t>(id % 1009);
     return trace;
 }
 
 bool IsStamped(const RequestTrace& t) {
     const RequestTrace want = StampedTrace(t.id);
     return t.submit_tid == want.submit_tid && t.score_tid == want.score_tid &&
-           t.submit_us == want.submit_us && t.dequeue_us == want.dequeue_us &&
+           t.submit_us == want.submit_us &&
            t.score_start_us == want.score_start_us &&
+           t.match_end_us == want.match_end_us &&
            t.score_end_us == want.score_end_us &&
            t.serialize_start_us == want.serialize_start_us &&
-           t.serialize_end_us == want.serialize_end_us &&
-           t.batch_size == want.batch_size && t.outcome == want.outcome;
+           t.serialize_end_us == want.serialize_end_us && t.outcome == want.outcome;
 }
 
 TEST(TraceRingTest, WritersLappingOneSlotNeverTearADump) {
@@ -171,8 +169,7 @@ TEST(RenderChromeTraceTest, SchemaAndStageEvents) {
     const JsonValue* events = parsed->Find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->is_array());
-    // One complete event per stamped stage: queue, batch_wait, score,
-    // serialize.
+    // One complete event per stamped stage: admit, match, eval, serialize.
     std::set<std::string> names;
     for (const JsonValue& event : events->array()) {
         ASSERT_TRUE(event.is_object());
@@ -193,8 +190,7 @@ TEST(RenderChromeTraceTest, SchemaAndStageEvents) {
         EXPECT_EQ(args->Find("req")->number(), 7.0);
         names.insert(name->string());
     }
-    EXPECT_EQ(names, (std::set<std::string>{"queue", "batch_wait", "score",
-                                            "serialize"}));
+    EXPECT_EQ(names, (std::set<std::string>{"admit", "match", "eval", "serialize"}));
 }
 
 TEST(RenderChromeTraceTest, EmptyDumpIsValidDocument) {

@@ -20,8 +20,8 @@ namespace {
 /// scoring, so these tests skip training entirely.
 struct FramingHarness {
     explicit FramingHarness(ServerConfig server_config = {})
-        : engine(registry, NoBatchDelay()), server(registry, engine,
-                                                   FixPort(server_config)) {
+        : engine(registry, EngineConfig{}),
+          server(registry, engine, FixPort(server_config)) {
         const Status st = server.Start();
         EXPECT_TRUE(st.ok()) << st;
     }
@@ -30,11 +30,6 @@ struct FramingHarness {
         engine.Stop();
     }
 
-    static EngineConfig NoBatchDelay() {
-        EngineConfig config;
-        config.max_delay_ms = 0.0;
-        return config;
-    }
     static ServerConfig FixPort(ServerConfig config) {
         config.port = 0;
         return config;

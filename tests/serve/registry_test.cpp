@@ -153,11 +153,7 @@ TEST(ModelRegistryTest, HotReloadRaceDropsAndMisroutesNothing) {
     ModelRegistry registry;
     registry.Install(parse(bundle_a), "model-a");  // version 1
 
-    EngineConfig config;
-    config.max_batch = 8;
-    config.max_delay_ms = 0.0;
-    config.queue_capacity = 4096;
-    ScoringEngine engine(registry, config);
+    ScoringEngine engine(registry, EngineConfig{});
 
     std::atomic<bool> done{false};
     std::atomic<std::size_t> reloads{0};
@@ -181,7 +177,7 @@ TEST(ModelRegistryTest, HotReloadRaceDropsAndMisroutesNothing) {
         scorers.emplace_back([&, s] {
             for (std::size_t r = 0; r < kRequestsPerScorer; ++r) {
                 const std::size_t t = (s * 37 + r) % db.num_transactions();
-                auto result = engine.Submit(db.transaction(t)).get();
+                auto result = engine.Predict(db.transaction(t));
                 if (!result.ok()) {  // drops are a hard failure
                     failed.store(true);
                     return;

@@ -2,13 +2,15 @@
 //
 //  * PatternMatchIndex::EncodeInto is bit-identical to FeatureSpace::Encode
 //    on 20 seeded synthetic databases.
-//  * ScoringEngine predictions are bit-identical to LoadedModel::Predict at
-//    batch sizes {1, 7, 64} and thread counts {1, 8} — batching and
-//    parallelism are pure scheduling, never numerics.
+//  * ScoringEngine predictions are bit-identical to LoadedModel::Predict
+//    with {1, 7, 64} concurrent Predict callers and PredictBatch thread
+//    counts {1, 8} — concurrency and parallelism are pure scheduling, never
+//    numerics.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/model_io.hpp"
@@ -98,8 +100,9 @@ TEST(PatternMatchIndexTest, HandlesEdgeTransactions) {
 }
 
 TEST(ScoringEngineEquivalenceTest, MatchesLoadedModelAcrossBatchAndThreads) {
-    // 20 seeded DBs × batch sizes {1,7,64} × threads {1,8}: every engine
-    // prediction equals LoadedModel::Predict on the same transaction.
+    // 20 seeded DBs × concurrent callers {1,7,64} × threads {1,8}: every
+    // Predict and every PredictBatch prediction equals LoadedModel::Predict
+    // on the same transaction.
     for (std::uint64_t seed = 200; seed < 220; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const auto db = Db(seed, 100);
@@ -111,30 +114,46 @@ TEST(ScoringEngineEquivalenceTest, MatchesLoadedModelAcrossBatchAndThreads) {
         const ServablePtr snapshot = registry.Snapshot();
         ASSERT_NE(snapshot, nullptr);
 
-        std::vector<ClassLabel> expected(db.num_transactions());
-        for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+        const std::size_t n = db.num_transactions();
+        std::vector<ClassLabel> expected(n);
+        for (std::size_t t = 0; t < n; ++t) {
             expected[t] = snapshot->model.Predict(db.transaction(t));
         }
 
-        for (std::size_t max_batch : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+        for (std::size_t callers : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
             for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-                SCOPED_TRACE("max_batch " + std::to_string(max_batch) +
+                SCOPED_TRACE("callers " + std::to_string(callers) +
                              " threads " + std::to_string(threads));
                 EngineConfig config;
-                config.max_batch = max_batch;
                 config.num_threads = threads;
-                config.max_delay_ms = 0.0;
                 ScoringEngine engine(registry, config);
-                std::vector<std::future<Result<Prediction>>> futures;
-                futures.reserve(db.num_transactions());
-                for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-                    futures.push_back(engine.Submit(db.transaction(t)));
+
+                // Caller c scores rows c, c + callers, ... concurrently with
+                // the others.
+                std::vector<Result<Prediction>> served(
+                    n, Result<Prediction>(Status::Internal("not scored")));
+                std::vector<std::thread> pool;
+                for (std::size_t c = 0; c < callers; ++c) {
+                    pool.emplace_back([&, c] {
+                        for (std::size_t t = c; t < n; t += callers) {
+                            served[t] = engine.Predict(db.transaction(t));
+                        }
+                    });
                 }
-                for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-                    auto prediction = futures[t].get();
-                    ASSERT_TRUE(prediction.ok()) << prediction.status();
-                    ASSERT_EQ(prediction->label, expected[t]) << "row " << t;
-                    ASSERT_EQ(prediction->model_version, snapshot->version);
+                for (auto& caller : pool) caller.join();
+                for (std::size_t t = 0; t < n; ++t) {
+                    ASSERT_TRUE(served[t].ok()) << served[t].status();
+                    ASSERT_EQ(served[t]->label, expected[t]) << "row " << t;
+                    ASSERT_EQ(served[t]->model_version, snapshot->version);
+                }
+
+                std::vector<std::vector<ItemId>> batch;
+                for (std::size_t t = 0; t < n; ++t) batch.push_back(db.transaction(t));
+                auto predictions = engine.PredictBatch(std::move(batch));
+                ASSERT_TRUE(predictions.ok()) << predictions.status();
+                ASSERT_EQ(predictions->size(), n);
+                for (std::size_t t = 0; t < n; ++t) {
+                    ASSERT_EQ((*predictions)[t].label, expected[t]) << "batch row " << t;
                 }
             }
         }

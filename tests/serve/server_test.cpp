@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "data/encoder.hpp"
@@ -57,9 +58,8 @@ std::string TrainModelFile(const TransactionDatabase& db, const std::string& tag
 
 /// Server + engine + registry bundle used by most tests.
 struct Harness {
-    explicit Harness(EngineConfig engine_config = {}, ServerConfig server_config = {},
-                     std::string default_model_path = "")
-        : engine(registry, engine_config),
+    explicit Harness(ServerConfig server_config = {}, std::string default_model_path = "")
+        : engine(registry, EngineConfig{}),
           server(registry, engine, FixPort(server_config),
                  std::move(default_model_path)) {
         const Status st = server.Start();
@@ -93,9 +93,7 @@ TEST(ProtocolGoldenTest, ResponsesAreExactLines) {
     ASSERT_TRUE(registry.Reload(model_path).ok());
     const ServablePtr snapshot = registry.Snapshot();
 
-    EngineConfig config;
-    config.max_delay_ms = 0.0;
-    ScoringEngine engine(registry, config);
+    ScoringEngine engine(registry, EngineConfig{});
     RequestDispatcher dispatcher(registry, engine, model_path);
 
     // predict: exact golden line (label known from the model itself).
@@ -114,9 +112,12 @@ TEST(ProtocolGoldenTest, ResponsesAreExactLines) {
     EXPECT_EQ(response.rfind(expected_prefix.str(), 0), 0u) << response;
     EXPECT_NE(response.find(",\"id\":7}"), std::string::npos) << response;
 
-    // health.
+    // health, without and with a request id (echoed last).
     EXPECT_EQ(dispatcher.HandleLine("{\"op\":\"health\"}"),
               "{\"ok\":true,\"serving\":true,\"version\":1,\"draining\":false}");
+    EXPECT_EQ(dispatcher.HandleLine("{\"id\":41,\"op\":\"health\"}"),
+              "{\"ok\":true,\"serving\":true,\"version\":1,\"draining\":false,"
+              "\"id\":41}");
 
     // reload (uses the default path) bumps the version.
     EXPECT_EQ(dispatcher.HandleLine("{\"op\":\"reload\"}"),
@@ -134,6 +135,10 @@ TEST(ProtocolGoldenTest, ResponsesAreExactLines) {
     const std::string unknown_op = dispatcher.HandleLine("{\"op\":\"explode\"}");
     EXPECT_NE(unknown_op.find("\"error\":\"InvalidArgument\""), std::string::npos)
         << unknown_op;
+    // Error responses echo the id too.
+    EXPECT_EQ(dispatcher.HandleLine("{\"op\":\"explode\",\"id\":42}"),
+              "{\"ok\":false,\"error\":\"InvalidArgument\","
+              "\"message\":\"unknown op 'explode'\",\"id\":42}");
     const std::string bad_item =
         dispatcher.HandleLine("{\"op\":\"predict\",\"items\":[1,-4]}");
     EXPECT_NE(bad_item.find("\"ok\":false"), std::string::npos) << bad_item;
@@ -147,9 +152,7 @@ TEST(ProtocolGoldenTest, ResponsesAreExactLines) {
 TEST(PredictionServerTest, ServesOverLoopback) {
     const auto db = Db(9);
     const std::string model_path = TrainModelFile(db, "loopback");
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config, {}, model_path);
+    Harness harness({}, model_path);
     ASSERT_TRUE(harness.registry.Reload(model_path).ok());
     const ServablePtr snapshot = harness.registry.Snapshot();
 
@@ -185,9 +188,7 @@ TEST(PredictionServerTest, ServesOverLoopback) {
 TEST(PredictionServerTest, InProcessAndTcpClientsAgree) {
     const auto db = Db(10);
     const std::string model_path = TrainModelFile(db, "agree");
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config, {}, model_path);
+    Harness harness({}, model_path);
     ASSERT_TRUE(harness.registry.Reload(model_path).ok());
 
     ServeClient tcp = harness.Client();
@@ -203,9 +204,7 @@ TEST(PredictionServerTest, InProcessAndTcpClientsAgree) {
 }
 
 TEST(PredictionServerTest, PredictWithoutModelIsFailedPrecondition) {
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config);
+    Harness harness;
     ServeClient client = harness.Client();
     auto prediction = client.Predict({1, 2, 3});
     ASSERT_FALSE(prediction.ok());
@@ -219,9 +218,7 @@ TEST(PredictionServerTest, ShedsConnectionsBeyondLimit) {
     obs::Registry::Get().ResetValues();
     ServerConfig server_config;
     server_config.max_connections = 1;
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config, server_config);
+    Harness harness(server_config);
 
     ServeClient first = harness.Client();  // occupies the only slot
     ASSERT_TRUE(first.Health().ok());
@@ -242,24 +239,24 @@ TEST(PredictionServerTest, ShedsConnectionsBeyondLimit) {
 TEST(PredictionServerTest, DrainOnShutdownFlushesInFlightResponse) {
     const auto db = Db(11);
     const std::string model_path = TrainModelFile(db, "drain");
-    // A wide batching window keeps the request parked in the engine queue
-    // long enough for Stop() to land while it is in flight.
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 150.0;
-    engine_config.max_batch = 64;
-    auto harness = std::make_unique<Harness>(engine_config, ServerConfig{}, model_path);
+    auto harness = std::make_unique<Harness>(ServerConfig{}, model_path);
     ASSERT_TRUE(harness->registry.Reload(model_path).ok());
     const ServablePtr snapshot = harness->registry.Snapshot();
     const ClassLabel expected = snapshot->model.Predict(db.transaction(0));
 
     ServeClient client = harness->Client();
+    // A scoring delay holds the request in flight inside the engine long
+    // enough for Stop() to land while it is there.
+    ASSERT_TRUE(FailpointRegistry::Get()
+                    .Configure("serve.engine.score=nth(1):delay(150)", 1)
+                    .ok());
     Result<Prediction> prediction = Status::Internal("not yet");
     std::thread requester([&] { prediction = client.Predict(db.transaction(0)); });
-    // Let the request reach the engine queue, then pull the plug.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    while (FailpointRegistry::Get().TotalTrips() == 0) std::this_thread::yield();
     harness->server.Stop();   // drain: response must still arrive
     harness->engine.Stop();
     requester.join();
+    FailpointRegistry::Get().DisableAll();
 
     ASSERT_TRUE(prediction.ok()) << prediction.status();
     EXPECT_EQ(prediction->label, expected);

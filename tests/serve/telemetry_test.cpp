@@ -1,9 +1,9 @@
-// Live serving telemetry (DESIGN.md §14): cross-thread request traces carry
-// monotone stage timestamps through the engine; per-stage windowed latency
+// Live serving telemetry (DESIGN.md §14): request traces carry monotone
+// stage timestamps through the engine; per-stage windowed latency
 // histograms are registered and populated; the protocol {"op":"metrics"} verb
 // and the HTTP side-port GET /metrics return byte-identical Prometheus
-// payloads; trace_dump round-trips as valid Chrome trace-event JSON; sheds
-// are traced with a kUnavailable outcome.
+// payloads; trace_dump round-trips as valid Chrome trace-event JSON; calls
+// refused during drain are traced with a kUnavailable outcome.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,11 +55,10 @@ LoadedModel TrainModel(const TransactionDatabase& db) {
     return std::move(*loaded);
 }
 
-EngineConfig ManualConfig() {
+/// No background window rotation: the tests count window samples.
+EngineConfig NoFlushConfig() {
     EngineConfig config;
-    config.manual_pump = true;
-    config.max_batch = 4;
-    config.queue_capacity = 8;
+    config.telemetry.background_flush = false;
     return config;
 }
 
@@ -76,26 +75,27 @@ class TelemetryTest : public ::testing::Test {
 };
 
 TEST_F(TelemetryTest, TraceStagesAreMonotoneAcrossThreadHops) {
-    ScoringEngine engine(registry_, ManualConfig());
+    ScoringEngine engine(registry_, NoFlushConfig());
     obs::RequestTrace trace;
-    auto future = engine.Submit(db_->transaction(0), /*deadline_ms=*/-1.0,
-                                /*cancel=*/nullptr, &trace);
-    EXPECT_EQ(engine.PumpOnce(), 1u);
-    ASSERT_TRUE(future.get().ok());
+    ASSERT_TRUE(engine
+                    .Predict(db_->transaction(0), /*deadline_ms=*/-1.0,
+                             /*cancel=*/nullptr, &trace)
+                    .ok());
     trace.serialize_start_us = obs::NowMicros();
     trace.serialize_end_us = obs::NowMicros();
     engine.CommitTrace(trace);
 
     EXPECT_GT(trace.id, 0u);
     EXPECT_GT(trace.submit_us, 0.0);
-    EXPECT_GE(trace.dequeue_us, trace.submit_us);
-    EXPECT_GE(trace.score_start_us, trace.dequeue_us);
-    EXPECT_GE(trace.score_end_us, trace.score_start_us);
+    EXPECT_GE(trace.score_start_us, trace.submit_us);
+    EXPECT_GE(trace.match_end_us, trace.score_start_us);
+    EXPECT_GE(trace.score_end_us, trace.match_end_us);
+    EXPECT_GE(trace.serialize_start_us, trace.score_end_us);
     EXPECT_GE(trace.serialize_end_us, trace.serialize_start_us);
-    EXPECT_EQ(trace.batch_size, 1u);
     EXPECT_EQ(trace.outcome, 0u);  // kOk
     EXPECT_NE(trace.submit_tid, 0u);
-    EXPECT_NE(trace.score_tid, 0u);
+    // Scored inline: the thread that submitted is the one that scored.
+    EXPECT_EQ(trace.score_tid, trace.submit_tid);
 
     // The committed trace is in the ring.
     const auto dumped = engine.trace_ring().Dump();
@@ -105,68 +105,49 @@ TEST_F(TelemetryTest, TraceStagesAreMonotoneAcrossThreadHops) {
 }
 
 TEST_F(TelemetryTest, InternalTracesCommitThemselves) {
-    ScoringEngine engine(registry_, ManualConfig());
-    auto f1 = engine.Submit(db_->transaction(0));
-    auto f2 = engine.Submit(db_->transaction(1));
-    engine.PumpOnce();
-    EXPECT_TRUE(f1.get().ok());
-    EXPECT_TRUE(f2.get().ok());
+    ScoringEngine engine(registry_, NoFlushConfig());
+    EXPECT_TRUE(engine.Predict(db_->transaction(0)).ok());
+    EXPECT_TRUE(engine.Predict(db_->transaction(1)).ok());
     const auto dumped = engine.trace_ring().Dump();
     ASSERT_EQ(dumped.size(), 2u);
     for (const auto& trace : dumped) {
-        EXPECT_EQ(trace.batch_size, 2u);
+        EXPECT_GT(trace.match_end_us, 0.0);
         EXPECT_EQ(trace.outcome, 0u);
     }
     engine.Stop();
 }
 
-TEST_F(TelemetryTest, ShedRequestsAreTracedWithUnavailableOutcome) {
-    ScoringEngine engine(registry_, ManualConfig());  // capacity 8
-    std::vector<std::future<Result<Prediction>>> admitted;
-    for (std::size_t t = 0; t < 8; ++t) {
-        admitted.push_back(engine.Submit(db_->transaction(t)));
-    }
-    auto shed = engine.Submit(db_->transaction(8));
-    EXPECT_EQ(shed.get().status().code(), StatusCode::kUnavailable);
+TEST_F(TelemetryTest, RefusedDuringDrainIsTracedWithUnavailableOutcome) {
+    ScoringEngine engine(registry_, NoFlushConfig());
+    engine.Stop();
+    EXPECT_EQ(engine.Predict(db_->transaction(0)).status().code(),
+              StatusCode::kUnavailable);
     const auto dumped = engine.trace_ring().Dump();
-    ASSERT_EQ(dumped.size(), 1u);  // only the shed one is committed so far
+    ASSERT_EQ(dumped.size(), 1u);
     EXPECT_EQ(dumped.front().outcome,
               static_cast<std::uint16_t>(StatusCode::kUnavailable));
-    while (engine.PumpOnce() > 0) {
-    }
-    for (auto& f : admitted) EXPECT_TRUE(f.get().ok());
-    engine.Stop();
+    EXPECT_EQ(dumped.front().score_start_us, 0.0);  // never scored
 }
 
 TEST_F(TelemetryTest, StageLatencyWindowsArePopulated) {
-    ScoringEngine engine(registry_, ManualConfig());
-    std::vector<std::future<Result<Prediction>>> futures;
+    ScoringEngine engine(registry_, NoFlushConfig());
     for (std::size_t t = 0; t < 6; ++t) {
-        futures.push_back(engine.Submit(db_->transaction(t)));
+        EXPECT_TRUE(engine.Predict(db_->transaction(t)).ok());
     }
-    while (engine.PumpOnce() > 0) {
-    }
-    for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 
     const auto snap = obs::Registry::Get().Snapshot();
     for (const char* name :
-         {"dfp.serve.latency.total", "dfp.serve.latency.queue",
-          "dfp.serve.latency.batch_wait", "dfp.serve.latency.score"}) {
+         {"dfp.serve.latency.total", "dfp.serve.latency.admit",
+          "dfp.serve.latency.match", "dfp.serve.latency.eval"}) {
         const auto it = snap.windows.find(name);
         ASSERT_NE(it, snap.windows.end()) << name;
         EXPECT_EQ(it->second.count, 6u) << name;
     }
-    // The fixed-bucket total histogram observes the same six requests.
-    const auto hist = snap.histograms.find("dfp.serve.latency_ms");
-    ASSERT_NE(hist, snap.histograms.end());
-    EXPECT_EQ(hist->second.count, 6u);
     engine.Stop();
 }
 
 TEST_F(TelemetryTest, MetricsOpAndHttpPortServeIdenticalPayloads) {
-    EngineConfig engine_config;  // real batcher: the server path needs one
-    engine_config.max_delay_ms = 0.0;
-    ScoringEngine engine(registry_, engine_config);
+    ScoringEngine engine(registry_, EngineConfig{});
     ServerConfig server_config;
     server_config.port = 0;
     server_config.metrics_port = 0;
@@ -205,9 +186,7 @@ TEST_F(TelemetryTest, MetricsOpAndHttpPortServeIdenticalPayloads) {
 }
 
 TEST_F(TelemetryTest, TraceDumpOpReturnsChromeTraceJson) {
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    ScoringEngine engine(registry_, engine_config);
+    ScoringEngine engine(registry_, EngineConfig{});
     ServerConfig server_config;
     server_config.port = 0;
     PredictionServer server(registry_, engine, server_config);
@@ -232,16 +211,22 @@ TEST_F(TelemetryTest, TraceDumpOpReturnsChromeTraceJson) {
 }
 
 TEST_F(TelemetryTest, SubMillisecondBucketsInFixedLatencyHistogram) {
-    ScoringEngine engine(registry_, ManualConfig());
-    auto future = engine.Submit(db_->transaction(0));
-    engine.PumpOnce();
-    ASSERT_TRUE(future.get().ok());
+    // The total-latency window resolves sub-millisecond quantiles: a
+    // microseconds-scale predict does not collapse into a coarse bucket.
+    ScoringEngine engine(registry_, NoFlushConfig());
+    for (std::size_t t = 0; t < 20; ++t) {
+        ASSERT_TRUE(engine.Predict(db_->transaction(t)).ok());
+    }
     const auto snap = obs::Registry::Get().Snapshot();
-    const auto it = snap.histograms.find("dfp.serve.latency_ms");
-    ASSERT_NE(it, snap.histograms.end());
-    ASSERT_FALSE(it->second.bounds.empty());
-    // Explicit sub-millisecond resolution: the finest bound is 5 µs.
-    EXPECT_DOUBLE_EQ(it->second.bounds.front(), 0.005);
+    const auto it = snap.windows.find("dfp.serve.latency.total");
+    ASSERT_NE(it, snap.windows.end());
+    EXPECT_EQ(it->second.count, 20u);
+    const double p50 = it->second.ValueAtQuantile(0.5);
+    EXPECT_GT(p50, 0.0);
+    EXPECT_LT(p50, 1.0);
+    EXPECT_LE(p50, it->second.ValueAtQuantile(0.99));
+    // No fixed-bucket duplicate of the same latency is recorded.
+    EXPECT_EQ(snap.histograms.count("dfp.serve.latency_ms"), 0u);
     engine.Stop();
 }
 

@@ -34,8 +34,8 @@ using serve::ServeClient;
 using serve::ServerConfig;
 
 struct Harness {
-    explicit Harness(EngineConfig engine_config = {})
-        : engine(registry, engine_config),
+    Harness()
+        : engine(registry, EngineConfig{}),
           server(registry, engine, FixPort(ServerConfig{}), "") {
         const Status st = server.Start();
         EXPECT_TRUE(st.ok()) << st;
@@ -133,9 +133,7 @@ TEST(ReloadUnderLoadTest, HundredHotReloadsUnderContinuousTraffic) {
         std::move(phase1.transactions), std::move(phase1.labels),
         source.num_items(), source.num_classes(), "b");
 
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config);
+    Harness harness;
     ASSERT_TRUE(harness.registry.Reload(path_a).ok());
     ASSERT_EQ(harness.registry.current_version(), 1u);
 

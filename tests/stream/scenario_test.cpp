@@ -41,8 +41,8 @@ using serve::ServeClient;
 using serve::ServerConfig;
 
 struct Harness {
-    explicit Harness(EngineConfig engine_config = {})
-        : engine(registry, engine_config),
+    Harness()
+        : engine(registry, EngineConfig{}),
           server(registry, engine, FixPort(ServerConfig{}), "") {
         const Status st = server.Start();
         EXPECT_TRUE(st.ok()) << st;
@@ -138,9 +138,7 @@ TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
     auto db = StreamingDatabase::Create(stream_config);
     ASSERT_TRUE(db.ok());
 
-    EngineConfig engine_config;
-    engine_config.max_delay_ms = 0.0;
-    Harness harness(engine_config);
+    Harness harness;
 
     ContinuousTrainerConfig trainer_config;
     trainer_config.pipeline.miner.min_sup_rel = 0.12;

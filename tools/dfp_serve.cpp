@@ -49,12 +49,10 @@ void Usage(const char* argv0) {
         "  --model <path>          dfp-model v1 bundle to serve (required;\n"
         "                          also the default target of {\"op\":\"reload\"})\n"
         "  --port <n>              TCP port on 127.0.0.1 (default 7070; 0 = ephemeral)\n"
-        "  --threads <n>           scoring workers, also the retrain pipeline's\n"
-        "                          thread budget under --stream-ingest\n"
-        "                          (default 1; 0 = all cores)\n"
-        "  --max-batch <n>         micro-batch size cap (default 64)\n"
-        "  --max-delay-ms <ms>     batch fill window (default 0.5)\n"
-        "  --queue-capacity <n>    admission queue bound (default 1024)\n"
+        "  --threads <n>           predict_batch scoring workers, also the retrain\n"
+        "                          pipeline's thread budget under --stream-ingest\n"
+        "                          (default 1; 0 = all cores); single predicts\n"
+        "                          score on their connection's thread\n"
         "  --max-connections <n>   concurrent connection bound (default 64)\n"
         "  --deadline-ms <ms>      default per-request deadline (default: none)\n"
         "  --metrics-port <n>      HTTP side-port for GET /metrics\n"
@@ -128,14 +126,6 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             engine_config.num_threads = static_cast<std::size_t>(
                 std::strtoull(flag_value(i, "--threads"), nullptr, 10));
-        } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-            engine_config.max_batch = static_cast<std::size_t>(
-                std::strtoull(flag_value(i, "--max-batch"), nullptr, 10));
-        } else if (std::strcmp(argv[i], "--max-delay-ms") == 0) {
-            engine_config.max_delay_ms = std::atof(flag_value(i, "--max-delay-ms"));
-        } else if (std::strcmp(argv[i], "--queue-capacity") == 0) {
-            engine_config.queue_capacity = static_cast<std::size_t>(
-                std::strtoull(flag_value(i, "--queue-capacity"), nullptr, 10));
         } else if (std::strcmp(argv[i], "--max-connections") == 0) {
             server_config.max_connections = static_cast<std::size_t>(
                 std::strtoull(flag_value(i, "--max-connections"), nullptr, 10));
@@ -236,10 +226,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
         return 1;
     }
-    std::printf("dfp_serve: listening on 127.0.0.1:%u (threads=%zu max_batch=%zu "
-                "queue=%zu)\n",
+    std::printf("dfp_serve: listening on 127.0.0.1:%u (threads=%zu "
+                "max_connections=%zu)\n",
                 unsigned{server.port()}, engine_config.num_threads,
-                engine_config.max_batch, engine_config.queue_capacity);
+                server_config.max_connections);
     if (server.metrics_port() != 0) {
         std::printf("dfp_serve: metrics at http://127.0.0.1:%u/metrics\n",
                     unsigned{server.metrics_port()});
